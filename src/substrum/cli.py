@@ -9,12 +9,10 @@ text form); everything else goes to stderr.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import _kernels
 from .classify import classify
 from .coincidence import dekking_pure_discrete
 from .core import (
@@ -170,20 +168,9 @@ def _cmd_estimate_dim(args) -> int:
             EXIT_USAGE,
             f"--function needs {z.size} coefficients (one per letter), got {len(f)}",
         )
-    if args.threads is not None:
-        effective = _kernels.set_thread_count(args.threads)
-        if effective != args.threads:
-            print(f"substrum: using {effective} thread(s)", file=sys.stderr)
     scales = _parse_scales(args.scales) if args.scales else None
     try:
-        est = dimension_fit(
-            z,
-            f,
-            scales=scales,
-            K=args.lags,
-            L=args.prefix,
-            cache_dir=args.cache_dir,
-        )
+        est = dimension_fit(z, f, scales=scales, K=args.lags, L=args.prefix)
     except ValueError as exc:
         raise _fail(EXIT_BUDGET, f"estimate-dim: {exc}") from exc
 
@@ -244,18 +231,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_estimator_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lags", type=int, default=DEFAULT_LAGS, help="correlation lags K")
     p.add_argument("--prefix", type=int, default=DEFAULT_PREFIX, help="fixed-point prefix length L")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads for the counting kernel (default: all cores; "
-        "results are thread-count independent)",
-    )
-    p.add_argument(
-        "--cache-dir",
-        default=None,
-        help="correlation cache directory (default: $SUBSTRUM_CACHE or .substrum-cache)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

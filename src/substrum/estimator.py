@@ -8,8 +8,8 @@ and partial-sum growth exponents.  The exact modules never consume these
 numbers; they corroborate them.
 
 Conventions.  All estimates derive from one table of exact integer lag
-counts N[k, a, b] = #{n < L : u[n] = a, u[n+k] = b} (see _kernels).  The
-pair correlation stored and cached per pair (a, b) is
+counts N[k, a, b] = #{n < L : u[n] = a, u[n+k] = b} (see _lag_counts).  The
+pair correlation stored per pair (a, b) is
 
     sigma_ab(k) = (1/L) * sum_{n<L} 1_a(u[n+k]) * 1_b(u[n]) = N[k, b, a] / L
 
@@ -22,28 +22,26 @@ Both satisfy the renormalization pull-back against the coincidence matrix C:
 sigma_ab(q n) ~ (1/q) sum_{c,d} C[(a,b),(c,d)] sigma_cd(n), because C is
 invariant under transposing pairs simultaneously in rows and columns.
 
-Determinism: counts are exact int64 regardless of backend and thread count,
-so every derived table is bit-identical across runs and configurations, and
-the CSV cache round-trips floats exactly via repr.
+Determinism: counts are exact int64, so every derived table is
+bit-identical across runs for fixed (z, K, L).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from . import _kernels
 from .coincidence import coincidence_matrix
 from .core import (
     Substitution,
     constant_length,
     fixed_point_prefix,
+    power_substitution,
     seed_letter,
     substitution_matrix,
 )
@@ -53,17 +51,8 @@ from .eigen import j_pr_kappa
 DEFAULT_PREFIX = 10**7
 DEFAULT_LAGS = 4096
 
-_CACHE_HEADER = "lag,re,im"
-
-
-def resolve_cache_dir(cache_dir: Union[str, Path, None] = None) -> Path:
-    """Cache directory: explicit argument, then $SUBSTRUM_CACHE, then ./.substrum-cache."""
-    if cache_dir is not None:
-        return Path(cache_dir)
-    env = os.environ.get("SUBSTRUM_CACHE")
-    if env:
-        return Path(env)
-    return Path(".substrum-cache")
+# prefixes up to this length are counted directly; longer ones recurse
+_DIRECT_COUNT_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -71,7 +60,7 @@ class PairCorrelations:
     """All pair correlations sigma_ab(k), 0 <= k <= K, for one substitution.
 
     sigma has shape (K+1, m, m) with sigma[k, a, b] = sigma_ab(k); this is
-    the unit of computation and of the on-disk cache (per-pair CSV files).
+    the unit of computation.
     """
 
     subst_hash: str
@@ -107,72 +96,92 @@ class CorrelationTable:
             raise ValueError("sigma must have K+1 entries")
 
 
-def _pair_cache_name(zhash: str, letter: int, power: int, K: int, L: int, a: int, b: int) -> str:
-    return f"{zhash[:16]}_s{letter}p{power}_K{K}_L{L}_{a}x{b}.csv"
+def _direct_counts(u: np.ndarray, L: int, K: int, m: int) -> np.ndarray:
+    """N[k, a, b] = #{n < L : u[n] = a, u[n+k] = b} by bincount over u[:L+K]."""
+    windows = sliding_window_view(u.astype(np.int64), K + 1)[:L]  # row n is u[n : n+K+1]
+    offsets = np.arange(K + 1) * (m * m)
+    counts = np.zeros((K + 1) * m * m, dtype=np.int64)
+    step = max(1, (1 << 20) // (K + 1))  # about a million codes per bincount
+    for start in range(0, L, step):
+        block = windows[start : start + step]
+        codes = offsets + block[:, :1] * m + block
+        counts += np.bincount(codes.ravel(), minlength=counts.size)
+    return counts.reshape(K + 1, m, m)
 
 
-def _write_pair_file(path: Path, values: np.ndarray) -> None:
-    lines = [_CACHE_HEADER]
-    lines.extend(f"{k},{float(v)!r},0.0" for k, v in enumerate(values))
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+def _lag_transfers(images: np.ndarray) -> dict[int, np.ndarray]:
+    """T_delta[(a,b), (x,y)] = #{i : w(x)_i = a, w(y)_{i+delta} = b}, 1-Q <= delta < Q.
 
-
-def _read_pair_file(path: Path, K: int) -> Optional[np.ndarray]:
-    try:
-        lines = path.read_text().splitlines()
-    except OSError:
-        return None
-    if len(lines) != K + 2 or lines[0] != _CACHE_HEADER:
-        return None
-    out = np.empty(K + 1, dtype=np.float64)
-    try:
-        for i, line in enumerate(lines[1:]):
-            lag, re, im = line.split(",")
-            if int(lag) != i or float(im) != 0.0:
-                return None
-            out[i] = float(re)
-    except ValueError:
-        return None
+    images is the (m, Q) table of w = z^p; T_0 is the coincidence matrix of w.
+    """
+    m, Q = images.shape
+    pairs = (np.arange(m)[:, None, None] * m + np.arange(m)[None, :, None]) * (m * m)
+    out = {}
+    for delta in range(1 - Q, Q):
+        i = np.arange(max(0, -delta), min(Q, Q - delta))
+        codes = pairs + images[:, None, i] * m + images[None, :, i + delta]
+        out[delta] = np.bincount(codes.ravel(), minlength=m**4).reshape(m * m, m * m).T
     return out
 
 
-def pair_correlations(
-    z: Substitution,
-    K: int = DEFAULT_LAGS,
-    L: int = DEFAULT_PREFIX,
-    cache_dir: Union[str, Path, None] = None,
-    backend: Optional[str] = None,
-) -> PairCorrelations:
-    """Estimate (or load from cache) all pair correlations at budget (K, L)."""
+def _lag_counts(z: Substitution, L: int, K: int) -> np.ndarray:
+    """Exact int64 table N[k, a, b] = #{n < L : u[n] = a, u[n+k] = b}, 0 <= k <= K.
+
+    u is the fixed point of w = z^p at the seed letter (a, p), so u = w(u)
+    and symbol Q j + i of u is w(u[j])_i with Q = q^p.  The counts for L =
+    Q L' + s follow exactly from the counts for L' with lags up to
+    ceil(K/Q), plus direct counts over the s tail positions (the counting
+    form of the renormalization S_q(Sigma) = (1/q) C Sigma).  Prefixes of at
+    most _DIRECT_COUNT_MAX symbols are counted directly, so no long prefix
+    of u is ever built.
+    """
     q = constant_length(z)
-    if q is None:
-        raise ValueError("correlation estimation requires a constant-length substitution")
-    m = z.size
+    if q is None or q < 2:
+        raise ValueError("lag counting requires a constant-length substitution with q >= 2")
+    if L < 1:
+        raise ValueError("prefix length L must be >= 1")
+    if K < 0:
+        raise ValueError("max lag K must be >= 0")
     letter, power = seed_letter(z)
-    zhash = z.hash_key()
-    directory = resolve_cache_dir(cache_dir)
+    images = np.array(power_substitution(z, power).images, dtype=np.int64)
+    m, Q = images.shape
+    transfers = _lag_transfers(images)
 
-    paths = [
-        [directory / _pair_cache_name(zhash, letter, power, K, L, a, b) for b in range(m)]
-        for a in range(m)
-    ]
-    cached = [[_read_pair_file(paths[a][b], K) for b in range(m)] for a in range(m)]
-    if all(col is not None for row in cached for col in row):
-        sigma = np.stack([np.stack(row, axis=-1) for row in cached], axis=-2)
-        return PairCorrelations(zhash, K, L, z.alphabet.letters, sigma)
+    def counts_and_window(L: int, K: int):
+        """(N over u[:L] with lags 0..K, the window u[L : L+K+1])."""
+        if L <= _DIRECT_COUNT_MAX:
+            u = fixed_point_prefix(z, letter, power, L + K + 1)
+            return _direct_counts(u, L, K, m), u[L:]
+        child_L, s = divmod(L, Q)
+        child_K = -(-K // Q)
+        child, window = counts_and_window(child_L, child_K)
+        # u = w(u), so w(u[L' : L'+K'+1]) = u[Q L' : Q (L'+K'+1)]: it holds the
+        # s tail positions Q L' .. L-1 with all their partners, and u[L : L+K+1]
+        image = images[window].ravel()
+        counts = _direct_counts(image, s, K, m).reshape(K + 1, m * m)
+        # position n = Q j + i < Q L' has partner n + k = Q (j + d) + r, with
+        # i + k = Q d + r: the child pair (u[j], u[j+d]) read through columns
+        # i and r of w.  Grouping by delta = r - i = k - Q d gives
+        # N_L[Q d + delta] += T_delta N_L'[d].
+        flat = child.reshape(child_K + 1, m * m)
+        for delta, T in transfers.items():
+            d = np.arange(1 if delta < 0 else 0, (K - delta) // Q + 1)
+            counts[Q * d + delta] += flat[d] @ T.T
+        return counts.reshape(K + 1, m, m), image[s : s + K + 1]
 
-    u = fixed_point_prefix(z, letter, power, L + K)
-    counts = _kernels.pair_counts(u, L, K, m, backend=backend)
+    counts, _ = counts_and_window(L, K)
+    sums = counts.sum(axis=(1, 2))
+    if not np.all(sums == L):
+        raise RuntimeError(f"lag counts do not sum to L={L} on every lag row: {np.unique(sums)}")
+    return counts
+
+
+def pair_correlations(z: Substitution, K: int = DEFAULT_LAGS, L: int = DEFAULT_PREFIX) -> PairCorrelations:
+    """Estimate all pair correlations at budget (K, L)."""
+    counts = _lag_counts(z, L, K)
     # public convention puts the lead letter first: sigma_ab(k) = N[k,b,a]/L
     sigma = np.swapaxes(counts, 1, 2).astype(np.float64) / L
-
-    directory.mkdir(parents=True, exist_ok=True)
-    for a in range(m):
-        for b in range(m):
-            _write_pair_file(paths[a][b], sigma[:, a, b])
-    return PairCorrelations(zhash, K, L, z.alphabet.letters, sigma)
+    return PairCorrelations(z.hash_key(), K, L, z.alphabet.letters, sigma)
 
 
 def _coefficient_vector(z: Substitution, f) -> np.ndarray:
@@ -187,17 +196,14 @@ def correlations(
     f_or_pair,
     K: int = DEFAULT_LAGS,
     L: int = DEFAULT_PREFIX,
-    cache_dir: Union[str, Path, None] = None,
-    backend: Optional[str] = None,
 ) -> CorrelationTable:
     """Correlation coefficients sigma_hat(k), k = 0..K, for a pair or a vector.
 
     A pair is a 2-tuple of letter *tokens* (strings); any other sequence is
     read as a cylindrical coefficient vector, one entry per letter.  Results
-    are deterministic for fixed (z, K, L) and served from the CSV cache when
-    available.
+    are deterministic for fixed (z, K, L).
     """
-    table = pair_correlations(z, K, L, cache_dir, backend)
+    table = pair_correlations(z, K, L)
     if (
         isinstance(f_or_pair, tuple)
         and len(f_or_pair) == 2
@@ -218,8 +224,6 @@ def renormalization_check(
     z: Substitution,
     K: int = 1000,
     L: int = DEFAULT_PREFIX,
-    cache_dir: Union[str, Path, None] = None,
-    backend: Optional[str] = None,
 ) -> float:
     """Max deviation of sigma_ab(q n) from (1/q) * C applied to sigma_cd(n).
 
@@ -230,7 +234,7 @@ def renormalization_check(
     q = constant_length(z)
     if q is None:
         raise ValueError("renormalization requires a constant-length substitution")
-    table = pair_correlations(z, K, L, cache_dir, backend)
+    table = pair_correlations(z, K, L)
     C = coincidence_matrix(z).to_numpy(dtype=np.float64)
     flat = table.flat()
     n_max = K // q
@@ -292,8 +296,6 @@ def dimension_fit(
     scales: Optional[Sequence[int]] = None,
     K: int = DEFAULT_LAGS,
     L: int = DEFAULT_PREFIX,
-    cache_dir: Union[str, Path, None] = None,
-    backend: Optional[str] = None,
 ) -> DimensionEstimate:
     """Estimate the local dimension of sigma_f at 0 and compare to 2 - 2*alpha.
 
@@ -313,7 +315,7 @@ def dimension_fit(
     if any(n < 1 for n in scales):
         raise ValueError("scales are exponents n >= 1 of r = q^-n")
 
-    table = correlations(z, f, K, L, cache_dir, backend)
+    table = correlations(z, f, K, L)
     try:
         rational_f = [Fraction(x) for x in f]
     except (TypeError, ValueError) as exc:
@@ -405,15 +407,6 @@ def birkhoff_growth(
     (slope, intercept), *_ = np.linalg.lstsq(A, log_s, rcond=None)
     residual = float(np.sqrt(np.mean((A @ np.array([slope, intercept]) - log_s) ** 2)))
     return BirkhoffGrowth(float(slope), residual, tuple(lengths), tuple(maxima))
-
-
-def suspension_kernel(omega):
-    """(sin(pi w)/(pi w))^2 with the removable singularity filled: value 1 at 0.
-
-    The spectral density factor relating the Z-action to its unit suspension
-    flow; apply pointwise to frequencies.
-    """
-    return np.sinc(omega) ** 2
 
 
 def expected_zero_coefficient(z: Substitution, f: Sequence) -> float:

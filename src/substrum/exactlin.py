@@ -2,7 +2,7 @@
 
 Thin bridges over sympy for the exact computations the spectral analysis
 needs: integer characteristic polynomials, irreducible factorization over Z,
-rational nullspaces/ranks, polynomial evaluation at a matrix, and rational
+rational nullspaces, polynomial evaluation at a matrix, and rational
 interval enclosures of square roots.  All results are exact Python ints /
 fractions.Fraction; sympy types never leak out of this module.
 """
@@ -21,14 +21,11 @@ from .core import IntMatrix
 __all__ = [
     "char_poly_coeffs",
     "factor_integer_poly",
-    "poly_divmod_exact",
     "poly_mul",
     "poly_eval_at_matrix",
     "rational_nullspace",
-    "rational_rank",
     "rational_matmul",
     "sqrt_interval",
-    "eval_poly_fraction",
 ]
 
 _x = Symbol("x")
@@ -76,29 +73,6 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
     return tuple(out)
-
-
-def poly_divmod_exact(num: Sequence[int], den: Sequence[int]):
-    """Exact division of integer polynomials; returns (quotient, remainder).
-
-    Coefficients leading-first.  Works over Q internally; results are returned
-    as tuples of Fractions reduced to ints when integral.
-    """
-    q, r = sympy.div(Poly(list(num), _x, domain="QQ"), Poly(list(den), _x, domain="QQ"))
-    def back(p):
-        cs = [Fraction(int(c.p), int(c.q)) for c in Poly(p, _x, domain="QQ").all_coeffs()]
-        if all(c.denominator == 1 for c in cs):
-            return tuple(int(c) for c in cs)
-        return tuple(cs)
-    return back(q), back(r)
-
-
-def eval_poly_fraction(coeffs: Sequence, value: Fraction) -> Fraction:
-    """Horner evaluation of a polynomial (leading-first) at a rational point."""
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * value + Fraction(c)
-    return acc
 
 
 def poly_eval_at_matrix(coeffs: Sequence, M: Sequence[Sequence[Fraction]]):
@@ -154,11 +128,6 @@ def rational_nullspace(rows) -> list[tuple[Fraction, ...]]:
     for v in basis:
         out.append(tuple(Fraction(int(e.p), int(e.q)) for e in v))
     return out
-
-
-def rational_rank(rows) -> int:
-    """Exact rank of a rational matrix."""
-    return _to_fraction_matrix_sympy(rows).rank()
 
 
 def sqrt_interval(value: Fraction, bits: int) -> tuple[Fraction, Fraction]:

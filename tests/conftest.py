@@ -1,9 +1,4 @@
-"""Shared fixtures.
-
-The correlation cache is session-scoped on purpose: the acceptance suite and
-the estimator unit tests ask for overlapping (substitution, K, L) tables, and
-sharing one cache directory means each table is counted once per run.
-"""
+"""Shared fixtures."""
 
 import os
 from pathlib import Path
@@ -11,11 +6,6 @@ from pathlib import Path
 import pytest
 
 import substrum
-
-
-@pytest.fixture(scope="session")
-def cache_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("corr-cache")
 
 
 @pytest.fixture(scope="session")

@@ -6,8 +6,10 @@ import pytest
 
 from substrum.classify import classify
 from substrum.coincidence import bijectivity_profile
-from substrum.core import parse_substitution, power_substitution
+from substrum.core import parse_substitution, power_substitution, substitution_matrix
 from substrum.corpus import CORPUS, load
+from substrum.eigen import eigenvalues
+from substrum.report import analysis_report, spectrum_report
 
 APERIODIC = [e.name for e in CORPUS if e.name != "periodic"]
 
@@ -103,6 +105,16 @@ def test_singular_detail_names_gap():
     verdict = classify(load("thue_morse"))
     assert "sqrt" in verdict.detail
     assert verdict.evidence["sqrt_q"].present is False
+
+
+@pytest.mark.parametrize("name", ["bijective_nonabelian", "height_two"])
+def test_analysis_report_lists_each_eigenvalue_once(name):
+    # both examples have a repeated eigenvalue, which must appear exactly
+    # its multiplicity times, as in the spectrum report
+    z = load(name)
+    listed = analysis_report(z, classify(z))["eigenvalues"]
+    assert len(listed) == z.size
+    assert listed == spectrum_report(z, eigenvalues(substitution_matrix(z)), None)["eigenvalues"]
 
 
 def test_height_two_evidence():

@@ -163,7 +163,6 @@ def test_estimate_dim_small_budget(run_cli, examples_dir, tmp_path):
         "--lags", "729",
         "--prefix", "100000",
         "--scales", "1..6",
-        "--cache-dir", str(tmp_path / "cache"),
         "--out", str(csv_path),
         "--json",
     )
@@ -177,17 +176,15 @@ def test_estimate_dim_small_budget(run_cli, examples_dir, tmp_path):
     assert csv_path.exists()
     header = csv_path.read_text().splitlines()[0]
     assert header == "r,mass,corrected_mass"
-    assert any((tmp_path / "cache").iterdir())
     second = run_cli(*args)
     assert second.stdout == first.stdout
 
 
-def test_estimate_dim_wrong_function_length(run_cli, examples_dir, tmp_path):
+def test_estimate_dim_wrong_function_length(run_cli, examples_dir):
     out = run_cli(
         "estimate-dim",
         str(examples_dir / "thue_morse.sub"),
         "--function", "1,-1,0",
-        "--cache-dir", str(tmp_path),
     )
     assert out.returncode == 2
 
@@ -200,7 +197,6 @@ def test_estimate_dim_too_few_scales(run_cli, examples_dir, tmp_path):
         "--scales", "1..3",
         "--lags", "64",
         "--prefix", "50000",
-        "--cache-dir", str(tmp_path),
         "--out", str(tmp_path / "dim.csv"),
     )
     assert out.returncode == 4

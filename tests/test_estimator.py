@@ -1,19 +1,18 @@
-"""Correlation estimator: oracles, invariants, caching, backends."""
+"""Correlation estimator: oracles, invariants and the exact lag counts."""
 
-import hashlib
 import math
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-import substrum.estimator as est
-from substrum import _kernels
-from substrum.core import fixed_point_prefix, seed_letter
+from substrum.core import fixed_point_prefix, is_primitive, parse_substitution, seed_letter
 from substrum.corpus import load
 from substrum.estimator import (
+    _DIRECT_COUNT_MAX,
+    _lag_counts,
     ball_mass,
     birkhoff_growth,
     correlations,
@@ -50,21 +49,21 @@ def tm_autocorrelation(K):
     return [gamma(k) for k in range(K + 1)]
 
 
-def test_thue_morse_autocorrelation_oracle(cache_dir):
+def test_thue_morse_autocorrelation_oracle():
     K, L = 64, 10**5
-    table = correlations(TM, (1, -1), K, L, cache_dir)
+    table = correlations(TM, (1, -1), K, L)
     oracle = tm_autocorrelation(K)
     for k in range(K + 1):
         assert abs(table.sigma[k].real - float(oracle[k])) <= 64 / L
         assert abs(table.sigma[k].imag) == 0.0
 
 
-def test_pair_correlations_near_hermitian(cache_dir):
+def test_pair_correlations_near_hermitian():
     # sigma_ab(k) should match the reversed-pair estimate over the shifted
     # window [k, L+k); the two windows share all but k terms, so the gap is
     # at most k/L <= 10/L for the lags checked here.
     K, L = 8, 10**5
-    table = pair_correlations(TM, K, L, cache_dir)
+    table = pair_correlations(TM, K, L)
     u = fixed_point_prefix(TM, *seed_letter(TM), L + K)
     m = TM.size
     for k in range(K + 1):
@@ -74,9 +73,9 @@ def test_pair_correlations_near_hermitian(cache_dir):
                 assert abs(table.sigma[k, b, a] - shifted) <= 10 / L
 
 
-def test_diagonal_zero_lag_sums_to_one(cache_dir):
+def test_diagonal_zero_lag_sums_to_one():
     for z in (TM, EX61, RS):
-        table = pair_correlations(z, 16, 10**4, cache_dir)
+        table = pair_correlations(z, 16, 10**4)
         total = sum(table.sigma[0, a, a].real for a in range(z.size))
         assert total == pytest.approx(1.0, abs=1e-12)
         # off-diagonal entries at lag zero count impossible events
@@ -93,11 +92,11 @@ def test_diagonal_zero_lag_sums_to_one(cache_dir):
     "name,f",
     [("thue_morse", (1, -1)), ("rudin_shapiro", (1, -1, -1, 1))],
 )
-def test_toeplitz_minors_nonnegative(cache_dir, name, f):
+def test_toeplitz_minors_nonnegative(name, f):
     # positive semidefiniteness of the empirical correlation, checked on
     # leading principal minors of the Toeplitz matrix up to order 4
     z = load(name)
-    table = correlations(z, f, 16, 10**5, cache_dir)
+    table = correlations(z, f, 16, 10**5)
     for order in range(1, 5):
         T = np.empty((order, order), dtype=complex)
         for i in range(order):
@@ -107,21 +106,21 @@ def test_toeplitz_minors_nonnegative(cache_dir, name, f):
         assert np.linalg.det(T).real >= -1e-6
 
 
-def test_zero_coefficient_matches_expected(cache_dir):
+def test_zero_coefficient_matches_expected():
     # holds at rate O(1/L) when |f|^2 is orthogonal to the slow eigenvectors
     for z, f in [(TM, (1, -1)), (EX61, (1, -1, 0, 0))]:
         L = 10**5
-        table = correlations(z, f, 16, L, cache_dir)
+        table = correlations(z, f, 16, L)
         assert abs(table.sigma[0].real - expected_zero_coefficient(z, f)) <= 10 / L
 
 
-def test_zero_coefficient_slow_case(cache_dir):
+def test_zero_coefficient_slow_case():
     # |f|^2 = 1_letter has a component along the second eigenvector, so the
     # empirical zero coefficient converges only like L^(log_3(2) - 1); at
     # L=1e5 the gap sits near 2.5e-4, well outside 10/L.  Pin the slow rate
     # loosely rather than pretending the fast bound applies.
     L = 10**5
-    table = correlations(EX61, (1, 0, 0, 0), 16, L, cache_dir)
+    table = correlations(EX61, (1, 0, 0, 0), 16, L)
     gap = abs(table.sigma[0].real - expected_zero_coefficient(EX61, (1, 0, 0, 0)))
     assert gap <= 0.05
 
@@ -134,107 +133,87 @@ def test_expected_zero_coefficient_exact():
     assert mean_under_frequencies(EX61, (1, 1, 1, 1)) == 1
 
 
-def test_cache_roundtrip(tmp_path, monkeypatch):
-    first = pair_correlations(TM, 16, 10**4, tmp_path)
-    files = sorted(p.name for p in tmp_path.iterdir())
-    assert len(files) == TM.size * TM.size
-    assert all(name.endswith(".csv") for name in files)
-
-    # a complete cache must answer without regenerating the fixed point
-    def boom(*args, **kwargs):  # pragma: no cover - only on failure
-        raise AssertionError("prefix regenerated despite warm cache")
-
-    monkeypatch.setattr(est, "fixed_point_prefix", boom)
-    second = pair_correlations(TM, 16, 10**4, tmp_path)
-    assert np.array_equal(first.sigma, second.sigma)
+def brute_lag_counts(z, L, K):
+    """N[k, a, b] = #{n < L : u[n] = a, u[n+k] = b}, one bincount per lag."""
+    u = fixed_point_prefix(z, *seed_letter(z), L + K).astype(np.int64)
+    m = z.size
+    return np.stack([
+        np.bincount(u[:L] * m + u[k:k + L], minlength=m * m).reshape(m, m)
+        for k in range(K + 1)
+    ])
 
 
-def test_cache_corruption_recovers(tmp_path):
-    first = pair_correlations(TM, 16, 10**4, tmp_path)
-    victim = sorted(tmp_path.iterdir())[0]
-    victim.write_text("not,a,cache\n1,2,3\n")
-    second = pair_correlations(TM, 16, 10**4, tmp_path)
-    assert np.array_equal(first.sigma, second.sigma)
+@st.composite
+def lag_count_cases(draw):
+    """A random primitive substitution (m <= 5, q <= 4) with a budget (L, K).
+
+    L = Q n + s with Q = q^p for the seed power p, so L is a multiple of Q
+    whenever s = 0.  L reaches 16 times the direct-count size, so most
+    draws recurse, some of them through several levels.
+    """
+    m = draw(st.integers(1, 5))
+    q = draw(st.integers(2, 4))
+    images = draw(st.lists(
+        st.lists(st.integers(0, m - 1), min_size=q, max_size=q), min_size=m, max_size=m,
+    ))
+    rules = "".join(f"{a} -> {' '.join(map(str, img))}\n" for a, img in enumerate(images))
+    z = parse_substitution(rules)
+    assume(is_primitive(z).primitive)
+    Q = q ** seed_letter(z)[1]
+    L = Q * draw(st.integers(0, 16 * _DIRECT_COUNT_MAX // Q)) + draw(st.integers(0, Q - 1))
+    assume(L >= 1)
+    return rules, L, draw(st.sampled_from([0, 1, q, 37, 500]))
 
 
-@pytest.mark.skipif(not _kernels.NUMBA_AVAILABLE, reason="numba not installed")
-def test_backends_bit_identical():
-    u = fixed_point_prefix(TM, *seed_letter(TM), 5 * 10**4 + 64)
-    direct = _kernels.pair_counts(u, 5 * 10**4, 64, TM.size, backend="numba")
-    fft = _kernels.pair_counts(u, 5 * 10**4, 64, TM.size, backend="numpy")
-    assert direct.dtype == fft.dtype == np.int64
-    assert np.array_equal(direct, fft)
+@settings(max_examples=60, deadline=None)
+@given(lag_count_cases())
+# p = 1, Q = 2: L = 2^15 - 1 leaves a tail position at each of three levels
+@example(("0 -> 0 1\n1 -> 1 0\n", 2**15 - 1, 500))
+# p = 2, Q = 4: L = 1 with K = 0, and L a multiple of Q above the direct-count size
+@example(("0 -> 1 0\n1 -> 0 1\n", 1, 0))
+@example(("0 -> 1 0\n1 -> 0 1\n", 4 * 3001, 37))
+# p = 3, Q = 27: L not a multiple of Q, above the direct-count size
+@example(("0 -> 1 2 0\n1 -> 2 0 1\n2 -> 0 0 1\n", 27 * 500 + 5, 500))
+def test_lag_counts_match_direct_count(case):
+    rules, L, K = case
+    z = parse_substitution(rules)
+    counts = _lag_counts(z, L, K)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, brute_lag_counts(z, L, K))
 
 
-def test_resolve_backend(monkeypatch):
-    monkeypatch.delenv("SUBSTRUM_BACKEND", raising=False)
-    assert _kernels.resolve_backend(10**5, 64, 2, "numpy") == "numpy"
-    assert _kernels.resolve_backend(10**5, 64, 2) in _kernels.available_backends()
-    # the cost model prefers the direct loop for few lags and the FFT for many
-    if _kernels.NUMBA_AVAILABLE:
-        assert _kernels.resolve_backend(10**7, 8, 2) == "numba"
-    assert _kernels.resolve_backend(10**7, 4096, 4) == "numpy"
-    monkeypatch.setenv("SUBSTRUM_BACKEND", "numpy")
-    assert _kernels.resolve_backend(10**7, 8, 2) == "numpy"
-    monkeypatch.setenv("SUBSTRUM_BACKEND", "bogus")
-    with pytest.raises(ValueError, match="bogus"):
-        _kernels.resolve_backend(10**5, 64, 2)
+def test_lag_counts_need_q_at_least_two():
+    # with q = 1 the recursion would never shorten the prefix
+    with pytest.raises(ValueError, match="q >= 2"):
+        pair_correlations(parse_substitution("0 -> 1\n1 -> 0\n"), 4, 10**4)
 
 
-@pytest.mark.skipif(not _kernels.NUMBA_AVAILABLE, reason="numba not installed")
-def test_thread_count_determinism(child_env):
-    # counts are exact integers and each lag row is owned by one worker, so
-    # the result must be byte-identical whatever NUMBA_NUM_THREADS says
-    script = (
-        "import hashlib, numpy as np\n"
-        "from substrum.corpus import load\n"
-        "from substrum import _kernels\n"
-        "from substrum.core import fixed_point_prefix, seed_letter\n"
-        "z = load('thue_morse')\n"
-        "u = fixed_point_prefix(z, *seed_letter(z), 2 * 10**5 + 128)\n"
-        "c = _kernels.pair_counts(u, 2 * 10**5, 128, z.size, backend='numba')\n"
-        "print(hashlib.sha256(np.ascontiguousarray(c).tobytes()).hexdigest())\n"
-    )
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(child_env, NUMBA_NUM_THREADS=threads)
-        out = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert out.returncode == 0, out.stderr
-        digests.append(out.stdout.strip())
-    assert digests[0] == digests[1]
-
-
-def test_ball_mass_edges(cache_dir):
-    table = correlations(TM, (1, -1), 64, 10**5, cache_dir)
+def test_ball_mass_edges():
+    table = correlations(TM, (1, -1), 64, 10**5)
     # radius 1 keeps only the zero lag
     assert ball_mass(table, 1.0) == pytest.approx(table.sigma[0].real)
     with pytest.raises(ValueError, match="lags"):
         ball_mass(table, 1 / 128)
 
 
-def test_point_mass_nonzero_mean(cache_dir):
-    table = correlations(TM, (1, 0), 512, 10**5, cache_dir)
+def test_point_mass_nonzero_mean():
+    table = correlations(TM, (1, 0), 512, 10**5)
     mean = mean_under_frequencies(TM, (1, 0))
     assert point_mass_at_zero(table) == pytest.approx(abs(mean) ** 2, abs=5e-3)
 
 
-def test_point_mass_mean_zero_vanishes(cache_dir):
-    table = correlations(TM, (1, -1), 512, 10**5, cache_dir)
+def test_point_mass_mean_zero_vanishes():
+    table = correlations(TM, (1, -1), 512, 10**5)
     assert abs(point_mass_at_zero(table)) <= 5e-3
 
 
-def test_renormalization_small_budget(cache_dir):
-    assert renormalization_check(TM, K=200, L=10**5, cache_dir=cache_dir) <= 1e-2
-    assert renormalization_check(EX61, K=243, L=4 * 10**5, cache_dir=cache_dir) <= 1e-2
+def test_renormalization_small_budget():
+    assert renormalization_check(TM, K=200, L=10**5) <= 1e-2
+    assert renormalization_check(EX61, K=243, L=4 * 10**5) <= 1e-2
 
 
-def test_dimension_fit_signed_indicator(cache_dir):
-    fit = dimension_fit(EX61, (1, -1, 0, 0), K=729, L=10**6, cache_dir=cache_dir)
+def test_dimension_fit_signed_indicator():
+    fit = dimension_fit(EX61, (1, -1, 0, 0), K=729, L=10**6)
     assert fit.j == 2
     assert fit.kappa == 1
     assert fit.d_pred == pytest.approx(2 - 2 * math.log(2, 3), abs=1e-9)
@@ -243,18 +222,16 @@ def test_dimension_fit_signed_indicator(cache_dir):
     assert len(fit.radii) == len(fit.masses) == len(fit.corrected_masses)
 
 
-def test_dimension_fit_mean_zero_thue_morse(cache_dir):
-    fit = dimension_fit(TM, (1, -1), K=4096, L=10**6, cache_dir=cache_dir)
+def test_dimension_fit_mean_zero_thue_morse():
+    fit = dimension_fit(TM, (1, -1), K=4096, L=10**6)
     assert fit.d_hat >= 1.5
     assert fit.d_pred is None
     assert "o(r" in fit.prediction
 
 
-def test_dimension_fit_rejects_few_scales(cache_dir):
+def test_dimension_fit_rejects_few_scales():
     with pytest.raises(ValueError, match="scale"):
-        dimension_fit(
-            EX61, (1, -1, 0, 0), scales=[1, 2, 3], K=729, L=10**5, cache_dir=cache_dir
-        )
+        dimension_fit(EX61, (1, -1, 0, 0), scales=[1, 2, 3], K=729, L=10**5)
 
 
 def test_birkhoff_growth():
