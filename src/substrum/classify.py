@@ -28,7 +28,6 @@ from .core import Substitution, constant_length, is_aperiodic_pansiot, is_primit
 from .eigen import (
     DEFAULT_PRECISION_BITS,
     PrecisionError,
-    eigenvalues,
     has_modulus_sqrt_q,
     second_eigenvalue_below_sqrt_q,
 )
@@ -127,7 +126,6 @@ def classify(z: Substitution, precision_bits: int = DEFAULT_PRECISION_BITS) -> S
     evidence["class_sizes"] = tuple(len(c) for c in classification.classes)
     evidence["transitive_size"] = len(classification.transitive)
     evidence["bijective"] = profile.bijective
-    evidence["eigenvalues"] = eigenvalues(substitution_matrix(z), precision_bits)
     group = (q, height.h)
 
     if dekking_pure_discrete(base.eta):

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .core import Alphabet, IntMatrix, Substitution, constant_length, is_primitive, substitution_matrix
 from .reduction import compute_height
@@ -115,13 +113,7 @@ def ergodic_classes(z: Substitution) -> ErgodicClassification:
     zz = bisubstitution(z)
     pa = PairAlphabet(z.alphabet)
     n = len(pa)
-    rows, cols = [], []
-    for p in range(n):
-        for p2 in set(zz.images[p]):
-            rows.append(p)
-            cols.append(p2)
-    adj = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
-    _, labels = connected_components(adj, directed=True, connection="strong")
+    labels = _strong_components(zz)
 
     terminal = set(labels)
     for p in range(n):
@@ -133,15 +125,15 @@ def ergodic_classes(z: Substitution) -> ErgodicClassification:
         members.setdefault(labels[p], []).append(p)
 
     diag_label = labels[pa.index(0, 0)]
-    assert diag_label in terminal, "diagonal class must be ergodic"
-    assert sorted(members[diag_label]) == [pa.index(a, a) for a in range(z.size)], (
-        "diagonal class must consist of exactly the diagonal pairs"
+    if diag_label not in terminal:
+        raise RuntimeError("the diagonal pairs do not form an ergodic class")
+    if members[diag_label] != [pa.index(a, a) for a in range(z.size)]:
+        raise RuntimeError("the diagonal class must consist of exactly the diagonal pairs")
+    # each members list is in increasing pair index, so sorting the lists
+    # orders the classes by their smallest pair
+    class_indices = [members[diag_label]] + sorted(
+        members[lab] for lab in terminal if lab != diag_label
     )
-    other = sorted(
-        (lab for lab in terminal if lab != diag_label),
-        key=lambda lab: min(members[lab]),
-    )
-    class_indices = [sorted(members[diag_label])] + [sorted(members[lab]) for lab in other]
     classes = tuple(tuple(pa.pair(i) for i in cls) for cls in class_indices)
     trans = tuple(
         pa.pair(i) for i in range(n) if labels[i] not in terminal
@@ -155,6 +147,40 @@ def ergodic_classes(z: Substitution) -> ErgodicClassification:
         k=len(classes),
         stabilizing_power=stabilizing,
     )
+
+
+def _strong_components(z: Substitution) -> list[int]:
+    """Label each letter by its strongly connected component in the graph
+    a -> b for b in z(a) (the label is the component's Tarjan root).
+    Tarjan's algorithm with an explicit stack, linear in the image lengths."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    labels = [-1] * z.size
+    stack: list[int] = []
+    for root in range(z.size):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(z.images[root]))]
+        while work:
+            v, successors = work[-1]
+            for x in successors:
+                if x not in index:
+                    index[x] = low[x] = len(index)
+                    stack.append(x)
+                    work.append((x, iter(z.images[x])))
+                    break
+                if labels[x] < 0:  # x is on the stack
+                    low[v] = min(low[v], index[x])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    while labels[v] < 0:
+                        labels[stack.pop()] = v
+    return labels
 
 
 def _stabilizing_power(C: IntMatrix, class_indices: list[list[int]]) -> Optional[int]:

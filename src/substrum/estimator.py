@@ -309,8 +309,13 @@ def dimension_fit(
     q = constant_length(z)
     if q is None:
         raise ValueError("dimension estimation requires a constant-length substitution")
+    if q < 2:
+        raise ValueError(f"dimension estimation needs radii q^-n < 1, so q >= 2 (got q = {q})")
     if scales is None:
-        scales = range(1, int(math.floor(math.log(K, q))) + 1)
+        top = 0
+        while q ** (top + 1) <= K:
+            top += 1
+        scales = range(1, top + 1)
     scales = tuple(int(n) for n in scales)
     if any(n < 1 for n in scales):
         raise ValueError("scales are exponents n >= 1 of r = q^-n")

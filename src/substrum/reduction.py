@@ -5,9 +5,17 @@ can carry a hidden rotation factor: with g0 = gcd{k >= 1 : u_k = u_0}, the
 height h is the largest divisor of g0 coprime to q.  When h > 1 the system
 splits over a cyclic rotation, and the spectral analysis should be run on
 the *pure base*: the substitution eta induced on the alphabet of h-blocks
-of U that start at positions h*k.  eta again has constant length q, and the
-blocking map phi intertwines it with the original substitution,
-phi(eta(i)) = zeta(phi(i)).
+of U that start at positions h*k.
+
+U is the fixed point of w = zeta^p, where (a, p) = `seed_letter(zeta)`, so
+U = w(U) with Q = q^p.  Everything here is read off that self-similarity
+by a finite closure rather than by scanning prefixes of U: the aligned
+h-blocks are the closure of U[0:h] under "cut w(B) into Q blocks", and the
+return words of a prefix u are the closure of the first return word under
+"cut w(v)u at the occurrences of u".  For p = 1, eta has length q; for
+p > 1 it is the pure base of w, with images of length q^p (Dekking
+coincidence is invariant under powers).  The blocking map phi intertwines
+eta with w, phi(eta(i)) = w(phi(i)).
 
 Return words of a prefix u of U (the words between consecutive occurrences
 of u) give another derived substitution theta, used here as a cross-check:
@@ -29,7 +37,6 @@ from sympy import Poly, Symbol
 
 from .core import (
     Alphabet,
-    ResourceBudgetError,
     Substitution,
     constant_length,
     fixed_point_prefix,
@@ -51,10 +58,6 @@ __all__ = [
 
 _x = Symbol("x")
 
-# Fixed-point prefixes used for height/block/return-word scans stay below
-# this many symbols.
-DEFAULT_SCAN_BUDGET = 2 * 10**7
-
 
 @dataclass(frozen=True)
 class HeightInfo:
@@ -67,11 +70,40 @@ class HeightInfo:
     prefix_len_used: int
 
 
-def _require_constant_length(z: Substitution) -> int:
+def _require_primitive(z: Substitution) -> int:
     q = constant_length(z)
     if q is None:
         raise ValueError("substitution must have constant length")
+    if not is_primitive(z).primitive:
+        raise ValueError("substitution must be primitive")
     return q
+
+
+def _occurrences(word: Sequence[int], u: Sequence[int]) -> np.ndarray:
+    """Start positions of all (possibly overlapping) occurrences of u."""
+    word = np.asarray(word)
+    n, k = len(word), len(u)
+    if n < k:
+        return np.empty(0, dtype=np.int64)
+    mask = np.ones(n - k + 1, dtype=bool)
+    for j, a in enumerate(u):
+        mask &= word[j : n - k + 1 + j] == a
+    return np.nonzero(mask)[0].astype(np.int64)
+
+
+def _first_return(z: Substitution, letter: int, power: int, u: tuple[int, ...]) -> tuple[int, int]:
+    """(k, n): k >= 1 is the first position after 0 where the prefix u of U
+    occurs again, found in a prefix of n symbols.
+
+    U is uniformly recurrent for primitive z, so the doubling scan ends;
+    `fixed_point_prefix`'s symbol budget is the only cap.
+    """
+    n = 64 * len(u)
+    while True:
+        occ = _occurrences(fixed_point_prefix(z, letter, power, n), u)
+        if occ.size >= 2:
+            return int(occ[1]), n
+        n *= 2
 
 
 def _returns_divisible(w: Substitution, Q: int, a0: int, n: int) -> bool:
@@ -103,7 +135,7 @@ def _returns_divisible(w: Substitution, Q: int, a0: int, n: int) -> bool:
     return True
 
 
-def compute_height(z: Substitution, max_prefix: int = DEFAULT_SCAN_BUDGET) -> HeightInfo:
+def compute_height(z: Substitution) -> HeightInfo:
     """Height of the fixed-point system of a primitive constant-length substitution.
 
     g0 is the gcd of the positions k >= 1 with u_k = u_0.  A prefix scan
@@ -113,37 +145,19 @@ def compute_height(z: Substitution, max_prefix: int = DEFAULT_SCAN_BUDGET) -> He
     decides exactly from the self-similarity of U.  h is the largest
     divisor of g0 coprime to q.
     """
-    q = _require_constant_length(z)
-    if not is_primitive(z).primitive:
-        raise ValueError("substitution must be primitive")
+    q = _require_primitive(z)
     letter, power = seed_letter(z)
-    w = z if power == 1 else power_substitution(z, power)
-    Q = q**power
-
-    L = max(64, Q * Q)
-    while True:
-        if L > max_prefix:
-            raise ResourceBudgetError(
-                f"no return of the first letter within {max_prefix} symbols"
-            )
-        u = fixed_point_prefix(z, letter, power, min(L, max_prefix))
-        positions = np.nonzero(u[1:] == u[0])[0]
-        if positions.size:
-            k1 = int(positions[0]) + 1
-            prefix_used = len(u)
-            break
-        L *= 2
-
+    w = power_substitution(z, power)
+    k1, prefix_used = _first_return(z, letter, power, (letter,))
     g0 = max(
         n
         for n in range(1, k1 + 1)
-        if k1 % n == 0 and _returns_divisible(w, Q, letter, n)
+        if k1 % n == 0 and _returns_divisible(w, q**power, letter, n)
     )
 
     h = g0
     while (d := math.gcd(h, q)) > 1:
         h //= d
-    assert h >= 1 and g0 % h == 0 and math.gcd(h, q) == 1
     return HeightInfo(g0=g0, h=h, prefix_len_used=prefix_used)
 
 
@@ -170,60 +184,46 @@ def _block_token(tokens: Sequence[str]) -> str:
     return "-".join(tokens)
 
 
-def pure_base(z: Substitution, max_prefix: int = DEFAULT_SCAN_BUDGET) -> PureBase:
+def pure_base(z: Substitution) -> PureBase:
     """Dekking's pure base: the induced substitution on h-blocks of U.
 
-    The block alphabet is the set of h-blocks of U starting at positions
-    h*k, ordered by first appearance in U and collected until closed under
-    expansion (the image of a known block, cut into q blocks of length h,
-    only produces known blocks).  eta maps each block letter to those q
-    blocks; phi(eta(i)) = zeta(phi(i)) is asserted on every letter.
+    With w = z^p and Q = q^p as in the module docstring, the block at
+    position h*k of U = w(U) expands to the Q aligned blocks at positions
+    h*(Q*k + i), i < Q.  So the closure of {U[0:h]} under "cut w(B) into Q
+    blocks of length h" is exactly the set of aligned blocks of U, and its
+    breadth-first discovery order is their order of first appearance in U
+    (block k >= 1 comes from block k // Q < k).  eta maps each block letter
+    to those Q blocks; phi(eta(i)) = w(phi(i)) is checked on every letter.
     """
-    q = _require_constant_length(z)
-    info = compute_height(z, max_prefix=max_prefix)
-    h = info.h
+    h = compute_height(z).h
     tok = z.alphabet.token
     if h == 1:
         phi = tuple((tok(a), (tok(a),)) for a in range(z.size))
         return PureBase(eta=z, phi=phi, height=1)
 
     letter, power = seed_letter(z)
-    L = h * q**4
-    while True:
-        if L > max_prefix:
-            raise ResourceBudgetError(
-                f"block alphabet not closed within {max_prefix} symbols"
-            )
-        u = fixed_point_prefix(z, letter, power, L - (L % h))
-        grid = u.reshape(-1, h)
-        _, first_idx = np.unique(grid, axis=0, return_index=True)
-        blocks = [tuple(int(x) for x in grid[i]) for i in sorted(first_idx)]
-        block_set = set(blocks)
-        closed = True
-        for B in blocks:
-            img = z.apply(B)
-            for i in range(q):
-                if img[i * h : (i + 1) * h] not in block_set:
-                    closed = False
-                    break
-            if not closed:
-                break
-        if closed:
-            break
-        L *= q
-
-    index = {B: i for i, B in enumerate(blocks)}
-    tokens = tuple(_block_token(tuple(tok(a) for a in B)) for B in blocks)
+    w = power_substitution(z, power)
+    Q = constant_length(w)
+    first = tuple(int(x) for x in fixed_point_prefix(z, letter, power, h))
+    blocks = [first]
+    index = {first: 0}
     images = []
-    for B in blocks:
-        img = z.apply(B)
-        images.append(tuple(index[img[i * h : (i + 1) * h]] for i in range(q)))
+    for B in blocks:  # grows while it is walked: a breadth-first closure
+        img = w.apply(B)
+        row = []
+        for i in range(Q):
+            C = img[i * h : (i + 1) * h]
+            if C not in index:
+                index[C] = len(blocks)
+                blocks.append(C)
+            row.append(index[C])
+        images.append(tuple(row))
+    tokens = tuple(_block_token(tuple(tok(a) for a in B)) for B in blocks)
     eta = Substitution(Alphabet(tokens), tuple(images))
 
-    # phi o eta = zeta o phi, exactly, on every block letter
     for i, B in enumerate(blocks):
-        expanded = tuple(x for j in eta.images[i] for x in blocks[j])
-        assert expanded == z.apply(B), "blocking map must intertwine the substitutions"
+        if tuple(x for j in eta.images[i] for x in blocks[j]) != w.apply(B):
+            raise RuntimeError(f"blocking map does not intertwine eta and z^{power} at block {tokens[i]}")
 
     phi = tuple((tokens[i], tuple(tok(a) for a in B)) for i, B in enumerate(blocks))
     return PureBase(eta=eta, phi=phi, height=h)
@@ -243,39 +243,25 @@ class ReturnWordSystem:
     theta: Substitution
 
 
-def _occurrences(prefix: np.ndarray, u: Sequence[int]) -> np.ndarray:
-    """Start positions of all (possibly overlapping) occurrences of u."""
-    n, k = len(prefix), len(u)
-    if n < k:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(n - k + 1, dtype=bool)
-    for j, a in enumerate(u):
-        mask &= prefix[j : n - k + 1 + j] == a
-    return np.nonzero(mask)[0].astype(np.int64)
-
-
-def return_words(
-    z: Substitution,
-    u: Optional[Sequence[int]] = None,
-    max_prefix: int = DEFAULT_SCAN_BUDGET,
-) -> ReturnWordSystem:
+def return_words(z: Substitution, u: Optional[Sequence[int]] = None) -> ReturnWordSystem:
     """Return words of a nonempty prefix u of the fixed point U.
 
-    Scans growing fixed-point prefixes, cutting at consecutive occurrences
-    of u, until the set of return words is unchanged across a growth step
-    and the scan extends at least 2*G*|u|*q symbols past the last new word
-    (G = largest gap between consecutive occurrences seen).  theta(v) is the
-    decomposition of zeta(v) into return words: the occurrences of u in the
-    word zeta(v)u are exactly the global occurrences in the corresponding
-    window of U, so cutting at them is the unique decomposition.
+    With w = z^p as in the module docstring: if v is the return word at an
+    occurrence i of u, then U = w(U) holds w(v)u at position Q*i, and the
+    occurrences of u in that word are exactly the occurrences of u in U
+    there, so cutting at them gives the return words of U at those
+    occurrences, in order.  These windows tile U, so the closure of the
+    first return word under v -> pieces of w(v)u is the set of all return
+    words, discovered in order of first appearance.  theta(v) is that
+    decomposition of w(v).
 
     Defaults u to the first h-block of U (the image of the first pure-base
     letter), the prefix the height reduction naturally distinguishes.
     """
-    q = _require_constant_length(z)
+    _require_primitive(z)
     letter, power = seed_letter(z)
     if u is None:
-        h = compute_height(z, max_prefix=max_prefix).h
+        h = compute_height(z).h
         u = tuple(int(x) for x in fixed_point_prefix(z, letter, power, h))
     else:
         u = tuple(int(x) for x in u)
@@ -285,52 +271,27 @@ def return_words(
         if tuple(int(x) for x in head) != u:
             raise ValueError("u must be a prefix of the fixed point")
 
-    L = max(q**4, 64 * len(u))
-    prev_words: Optional[tuple] = None
-    while True:
-        if L > max_prefix:
-            raise ResourceBudgetError(
-                f"return words not closed within {max_prefix} symbols"
-            )
-        prefix = fixed_point_prefix(z, letter, power, L)
-        occ = _occurrences(prefix, u)
-        assert occ.size >= 2 and occ[0] == 0
-        gaps = np.diff(occ)
-        G = int(gaps.max())
-        seen: dict[tuple[int, ...], int] = {}
-        last_new_end = 0
-        for a, b in zip(occ[:-1], occ[1:]):
-            w = tuple(int(x) for x in prefix[a:b])
-            if w not in seen:
-                seen[w] = len(seen)
-                last_new_end = int(b)
-        words = tuple(seen)
-        window = 2 * G * len(u) * q
-        if words == prev_words and int(occ[-1]) >= last_new_end + window:
-            theta = _derived_substitution(z, u, words)
-            if theta is not None:
-                return ReturnWordSystem(u=u, words=words, theta=theta)
-        prev_words = words
-        L *= 2
-
-
-def _derived_substitution(
-    z: Substitution, u: tuple[int, ...], words: tuple[tuple[int, ...], ...]
-) -> Optional[Substitution]:
-    """theta on the return-word alphabet; None if some image needs an unseen word."""
-    index = {w: i for i, w in enumerate(words)}
+    w = power_substitution(z, power)
+    k, _ = _first_return(z, letter, power, u)
+    first = tuple(int(x) for x in fixed_point_prefix(z, letter, power, k))
+    words = [first]
+    index = {first: 0}
     images = []
-    for w in words:
-        img_word = z.apply(w) + u
-        cuts = _occurrences(np.array(img_word, dtype=np.int64), u)
-        cuts = cuts[cuts <= len(img_word) - len(u)]
-        assert cuts[0] == 0 and int(cuts[-1]) == len(img_word) - len(u)
-        pieces = [img_word[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
-        if any(p not in index for p in pieces):
-            return None
-        images.append(tuple(index[p] for p in pieces))
+    for v in words:  # grows while it is walked: a breadth-first closure
+        img = w.apply(v) + u
+        cuts = [int(c) for c in _occurrences(img, u)]
+        if cuts[0] != 0:
+            raise RuntimeError(f"u is not a prefix of z^{power}(v)u for return word {v}")
+        row = []
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            piece = img[a:b]
+            if piece not in index:
+                index[piece] = len(words)
+                words.append(piece)
+            row.append(index[piece])
+        images.append(tuple(row))
     alphabet = Alphabet(tuple(f"r{i}" for i in range(len(words))))
-    return Substitution(alphabet, tuple(images))
+    return ReturnWordSystem(u=u, words=tuple(words), theta=Substitution(alphabet, tuple(images)))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +349,8 @@ def spectrum_difference_is_trivial(p1, p2) -> SpectrumComparison:
     g = sympy.gcd(s1, s2)
     l1, r1 = sympy.div(s1, g)
     l2, r2 = sympy.div(s2, g)
-    assert r1.is_zero and r2.is_zero
+    if not (r1.is_zero and r2.is_zero):
+        raise RuntimeError("gcd does not divide both stripped polynomials")
     left1 = tuple(int(c) for c in Poly(l1, _x).all_coeffs())
     left2 = tuple(int(c) for c in Poly(l2, _x).all_coeffs())
     return SpectrumComparison(

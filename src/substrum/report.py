@@ -152,13 +152,11 @@ def analysis_report(
     S = substitution_matrix(z)
     ev = verdict.evidence
 
-    eigen_records = ev.get("eigenvalues")
-    if eigen_records is None:
-        try:
-            kwargs = {} if precision_bits is None else {"precision_bits": precision_bits}
-            eigen_records = eigenvalues(S, **kwargs)
-        except PrecisionError:
-            eigen_records = None
+    kwargs = {} if precision_bits is None else {"precision_bits": precision_bits}
+    try:
+        eigen_records = eigenvalues(S, **kwargs)
+    except PrecisionError:
+        eigen_records = None
 
     height_payload = None
     if ev.get("primitive") and constant_length(z) is not None:

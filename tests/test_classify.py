@@ -1,6 +1,8 @@
 """End-to-end verdicts of the spectral classifier."""
 
+import importlib
 import math
+import time
 
 import pytest
 
@@ -8,7 +10,7 @@ from substrum.classify import classify
 from substrum.coincidence import bijectivity_profile
 from substrum.core import parse_substitution, power_substitution, substitution_matrix
 from substrum.corpus import CORPUS, load
-from substrum.eigen import eigenvalues
+from substrum.eigen import char_poly, eigenvalues
 from substrum.report import analysis_report, spectrum_report
 
 APERIODIC = [e.name for e in CORPUS if e.name != "periodic"]
@@ -115,6 +117,47 @@ def test_analysis_report_lists_each_eigenvalue_once(name):
     listed = analysis_report(z, classify(z))["eigenvalues"]
     assert len(listed) == z.size
     assert listed == spectrum_report(z, eigenvalues(substitution_matrix(z)), None)["eigenvalues"]
+
+
+@pytest.mark.parametrize(
+    "rules, verdict, reasons",
+    [
+        # q = 2, h = 3, seed power p = 2
+        ("0 -> 1 2\n1 -> 2 3\n2 -> 1 0\n3 -> 3 1\n", "PurelyDiscrete", ("DekkingCoincidence",)),
+        # q = 3, h = 2, p = 2
+        (
+            "0 -> 3 0 1\n1 -> 2 1 0\n2 -> 1 2 3\n3 -> 0 3 2\n",
+            "Singular",
+            ("NoSqrtQEigenvalue", "SecondEigenvalueSmall"),
+        ),
+        (
+            "0 -> 3 1 3\n1 -> 2 0 2\n2 -> 1 3 0\n3 -> 0 2 1\n",
+            "Singular",
+            ("NoSqrtQEigenvalue", "SecondEigenvalueSmall"),
+        ),
+    ],
+)
+def test_height_above_one_with_seed_power_two(rules, verdict, reasons):
+    z = parse_substitution(rules)
+    t0 = time.perf_counter()
+    result = classify(z)
+    assert time.perf_counter() - t0 < 1.0
+    assert (result.verdict, result.reasons) == (verdict, reasons)
+    assert result.evidence["h"] > 1
+
+
+def test_purely_discrete_computes_no_enclosures(monkeypatch):
+    # degree-3 factor: its root enclosures are the costliest part of eigen,
+    # and a Dekking verdict needs none of them
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify computed eigenvalue enclosures")
+
+    # the package exports a function named classify, so fetch the modules
+    monkeypatch.setattr(importlib.import_module("substrum.eigen"), "eigenvalues", refuse)
+    monkeypatch.setattr(importlib.import_module("substrum.classify"), "eigenvalues", refuse, raising=False)
+    z = parse_substitution("0 -> 3 2\n1 -> 3 1\n2 -> 2 0\n3 -> 2 1\n")
+    assert list(char_poly(substitution_matrix(z)).coeffs) == [1, -2, -1, 1, 2]  # (x - 2)(x^3 - x - 1)
+    assert classify(z).verdict == "PurelyDiscrete"
 
 
 def test_height_two_evidence():

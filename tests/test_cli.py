@@ -203,6 +203,15 @@ def test_estimate_dim_too_few_scales(run_cli, examples_dir, tmp_path):
     assert "substrum:" in out.stderr
 
 
+def test_estimate_dim_length_one_exits_4(run_cli, tmp_path):
+    path = tmp_path / "swap.sub"
+    path.write_text("0 -> 1\n1 -> 0\n")
+    out = run_cli("estimate-dim", str(path), "--function", "1,-1", "--out", str(tmp_path / "dim.csv"))
+    assert out.returncode == 4
+    assert out.stderr.startswith("substrum: estimate-dim: ")
+    assert "Traceback" not in out.stderr
+
+
 def test_stdout_is_pure_json(run_cli, examples_dir):
     # diagnostics (including numba warnings) must never pollute stdout
     out = run_cli("analyze", str(examples_dir / "small_second_eigenvalue.sub"), "--json")

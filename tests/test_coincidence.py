@@ -1,10 +1,15 @@
 """Bi-substitution, ergodic classes of letter pairs, Dekking's coincidence
 criterion, and bijectivity."""
 
+import subprocess
+import sys
+
 import sympy
 from sympy import Poly, Symbol
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from substrum.coincidence import (
     bijectivity_profile,
@@ -13,7 +18,7 @@ from substrum.coincidence import (
     dekking_pure_discrete,
     ergodic_classes,
 )
-from substrum.core import constant_length, parse_substitution, power_substitution, substitution_matrix
+from substrum.core import constant_length, is_primitive, parse_substitution, power_substitution, substitution_matrix
 from substrum.corpus import load
 from substrum.eigen import char_poly
 from substrum.reduction import pure_base
@@ -74,6 +79,70 @@ def test_ergodic_class_counts(name, expected):
 def test_q_multiplicity_in_coincidence_char_poly_equals_k(name):
     z = load(name)
     assert q_multiplicity(z) == ergodic_classes(z).k
+
+
+def brute_terminal_classes(z):
+    """Terminal components of the pair emission graph, from reachability sets.
+
+    p is in a terminal component iff every pair it reaches reaches p back;
+    that component is then the set of pairs p reaches.
+    """
+    zz = bisubstitution(z)
+    reach = []
+    for p in range(zz.size):
+        seen, stack = {p}, [p]
+        while stack:
+            for x in zz.images[stack.pop()]:
+                if x not in seen:
+                    seen.add(x)
+                    stack.append(x)
+        reach.append(frozenset(seen))
+    return {reach[p] for p in range(zz.size) if all(p in reach[x] for x in reach[p])}
+
+
+@st.composite
+def primitive_substitutions(draw):
+    m = draw(st.integers(1, 6))
+    q = draw(st.integers(2, 4))
+    bijective = draw(st.booleans())  # bijective inputs have several classes
+    if bijective:
+        columns = [draw(st.permutations(range(m))) for _ in range(q)]
+        images = [[columns[i][a] for i in range(q)] for a in range(m)]
+    else:
+        images = draw(st.lists(
+            st.lists(st.integers(0, m - 1), min_size=q, max_size=q), min_size=m, max_size=m,
+        ))
+    return "".join(f"{a} -> {' '.join(map(str, img))}\n" for a, img in enumerate(images))
+
+
+@settings(max_examples=100, deadline=None)
+@given(primitive_substitutions())
+def test_ergodic_classes_match_brute_force(rules):
+    z = parse_substitution(rules)
+    assume(is_primitive(z).primitive)
+    cls = ergodic_classes(z)
+    m = z.size
+    terminal = brute_terminal_classes(z)
+    assert cls.k == len(terminal)
+    as_sets = [frozenset(a * m + b for a, b in c) for c in cls.classes]
+    assert set(as_sets) == terminal
+    # E_0 is the diagonal; the others follow in order of their smallest pair
+    assert cls.classes[0] == tuple((a, a) for a in range(m))
+    assert [min(c) for c in as_sets[1:]] == sorted(min(c) for c in as_sets[1:])
+    assert all(c == tuple(sorted(c)) for c in cls.classes)
+    in_classes = set().union(*as_sets)
+    assert cls.transitive == tuple(divmod(p, m) for p in range(m * m) if p not in in_classes)
+
+
+def test_import_does_not_load_scipy(child_env):
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, substrum; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=child_env,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_class_partition_invariant_under_powers_when_aperiodic_classes():

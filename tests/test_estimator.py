@@ -229,6 +229,17 @@ def test_dimension_fit_mean_zero_thue_morse():
     assert "o(r" in fit.prediction
 
 
+def test_dimension_fit_default_scales_reach_exact_power():
+    # math.log(3**5, 3) is 4.999999999999999; the top scale must not be lost
+    fit = dimension_fit(EX61, (1, -1, 0, 0), K=3**5, L=10**5)
+    assert fit.scales == (1, 2, 3, 4, 5)
+
+
+def test_dimension_fit_needs_q_at_least_two():
+    with pytest.raises(ValueError, match="q >= 2"):
+        dimension_fit(parse_substitution("0 -> 1\n1 -> 0\n"), (1, -1), K=64, L=10**4)
+
+
 def test_dimension_fit_rejects_few_scales():
     with pytest.raises(ValueError, match="scale"):
         dimension_fit(EX61, (1, -1, 0, 0), scales=[1, 2, 3], K=729, L=10**5)
