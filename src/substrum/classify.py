@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .coincidence import bijectivity_profile, dekking_pure_discrete, ergodic_classes
+from .coincidence import bijectivity_profile, ergodic_classes
 from .core import Substitution, constant_length, is_aperiodic_pansiot, is_primitive, substitution_matrix
 from .eigen import (
     DEFAULT_PRECISION_BITS,
@@ -31,7 +31,7 @@ from .eigen import (
     has_modulus_sqrt_q,
     second_eigenvalue_below_sqrt_q,
 )
-from .reduction import compute_height, pure_base
+from .reduction import pure_base
 
 PURELY_DISCRETE = "PurelyDiscrete"
 SINGULAR = "Singular"
@@ -115,20 +115,20 @@ def classify(z: Substitution, precision_bits: int = DEFAULT_PRECISION_BITS) -> S
             evidence,
         )
 
-    height = compute_height(z)
     base = pure_base(z)
     classification = ergodic_classes(base.eta)
     profile = bijectivity_profile(z)
-    evidence["h"] = height.h
+    evidence["h"] = base.height
     evidence["pure_base_size"] = base.eta.size
     evidence["pure_base"] = base
     evidence["k"] = classification.k
     evidence["class_sizes"] = tuple(len(c) for c in classification.classes)
     evidence["transitive_size"] = len(classification.transitive)
     evidence["bijective"] = profile.bijective
-    group = (q, height.h)
+    group = (q, base.height)
 
-    if dekking_pure_discrete(base.eta):
+    # Dekking's criterion on the pure base, which has height 1 by construction
+    if classification.k == 1:
         return SpectralVerdict(
             verdict=PURELY_DISCRETE,
             reasons=("DekkingCoincidence",),

@@ -77,9 +77,11 @@ def letter_frequencies(z: Substitution) -> tuple[Fraction, ...]:
         raise ValueError("q-eigenspace of S is not one-dimensional; substitution not primitive?")
     v = basis[0]
     total = sum(v)
-    assert total != 0
+    if total == 0:
+        raise RuntimeError("Perron eigenvector must have a nonzero sum")
     mu = tuple(x / total for x in v)
-    assert all(x > 0 for x in mu), "Perron eigenvector must be strictly positive"
+    if not all(x > 0 for x in mu):
+        raise RuntimeError("Perron eigenvector must be strictly positive")
     return mu
 
 
@@ -107,7 +109,8 @@ class ClassVector:
         )
 
     def W_exact(self) -> tuple[tuple[Fraction, ...], ...]:
-        assert all(isinstance(x, Fraction) for x in self.pair_values)
+        if not all(isinstance(x, Fraction) for x in self.pair_values):
+            raise TypeError("W_exact needs exact (Fraction) pair values")
         return tuple(
             tuple(self.pair_values[a * self.m + b] for b in range(self.m))
             for a in range(self.m)
@@ -176,22 +179,25 @@ def eigenspace_F(
             m=z.size,
         )
         for j, idx in enumerate(class_idx):
-            assert all(pair_values[t] == cv.class_values[j] for t in idx)
-        _assert_in_F(Ct, q, pair_values)
+            if any(pair_values[t] != cv.class_values[j] for t in idx):
+                raise RuntimeError(f"chart vector {i} is not {cv.class_values[j]} on class {j}")
+        _check_in_F(Ct, q, pair_values)
         out.append(cv)
     return tuple(out)
 
 
-def _assert_in_F(Ct: IntMatrix, q: int, v: Sequence[Fraction]) -> None:
+def _check_in_F(Ct: IntMatrix, q: int, v: Sequence[Fraction]) -> None:
     n = Ct.dim
     for r in range(n):
         acc = sum(Fraction(Ct.entries[r][c]) * v[c] for c in range(n)) - q * v[r]
-        assert acc == 0, "vector must lie in the q-eigenspace of C^t"
+        if acc != 0:
+            raise RuntimeError("vector must lie in the q-eigenspace of C^t")
 
 
 def chart_vector(basis: Sequence[ClassVector], w: Sequence[Number]) -> ClassVector:
     """The element of F with class values w, as a combination of the chart basis."""
-    assert len(w) == len(basis)
+    if len(w) != len(basis):
+        raise ValueError(f"need one class value per basis vector ({len(basis)}), got {len(w)}")
     n = len(basis[0].pair_values)
     pair_values = tuple(
         sum(wi * b.pair_values[t] for wi, b in zip(w, basis)) for t in range(n)
@@ -445,7 +451,8 @@ def decompose_lambda(
             b = np.sqrt(vals[j]) * d.conj()
             terms.append((float(vals[j]), tuple(complex(x) for x in b)))
     reconstruction_error = float(np.max(np.abs(recon - W)))
-    assert reconstruction_error <= 1e-10, "eigendecomposition must reconstruct W"
+    if reconstruction_error > 1e-10:
+        raise RuntimeError(f"eigendecomposition must reconstruct W: error {reconstruction_error:.3e}")
 
     mu_f = np.array([float(x) for x in mu])
     all_ones = all(x == 1 for x in v.class_values)
@@ -455,7 +462,8 @@ def decompose_lambda(
         for _, b in terms:
             err = abs(sum(bb * mm for bb, mm in zip(b, mu_f)))
             orth = max(orth, float(err))
-        assert orth <= 1e-10, f"generator not orthogonal to constants: {orth:.3e}"
+        if orth > 1e-10:
+            raise RuntimeError(f"generator not orthogonal to constants: {orth:.3e}")
     return CylindricalDecomposition(
         terms=tuple(terms),
         reconstruction_error=reconstruction_error,

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from math import sqrt as _fsqrt
 from typing import Optional, Sequence
 
@@ -45,9 +46,8 @@ from .core import IntMatrix
 from .exactlin import (
     char_poly_coeffs,
     factor_integer_poly,
-    poly_eval_at_matrix,
+    poly_at_int_matrix,
     poly_mul,
-    rational_matmul,
     sqrt_interval,
 )
 
@@ -165,7 +165,8 @@ def _roots_of_factor(factor: tuple[int, ...], bits: int) -> list[dict]:
     if deg == 2:
         b, c = factor[1], factor[2]
         D = b * b - 4 * c
-        assert D != 0, "irreducible quadratic has distinct roots"
+        if D == 0:
+            raise RuntimeError(f"irreducible quadratic {factor} has a double root")
         if D < 0:
             # complex conjugate pair; |root|^2 = c exactly
             mod_lo, mod_hi = sqrt_interval(Fraction(c), bits)
@@ -207,8 +208,10 @@ def _roots_of_factor(factor: tuple[int, ...], bits: int) -> list[dict]:
     eps = Rational(1, 2**bits)
     real_iv, cplx_iv = poly.intervals(all=True, eps=eps)
     out = []
-    for (lo, hi), mult in real_iv:
-        assert mult == 1
+    for _interval, mult in real_iv + cplx_iv:
+        if mult != 1:
+            raise RuntimeError(f"irreducible factor {factor} has a repeated root")
+    for (lo, hi), _mult in real_iv:
         flo, fhi = _rational(lo), _rational(hi)
         mlo, mhi = _abs_interval(flo, fhi)
         out.append(
@@ -221,8 +224,7 @@ def _roots_of_factor(factor: tuple[int, ...], bits: int) -> list[dict]:
                 rational_value=None,
             )
         )
-    for (c1, c2), mult in cplx_iv:
-        assert mult == 1
+    for (c1, c2), _mult in cplx_iv:
         fx1, fy1 = _rational(sympy.re(c1)), _rational(sympy.im(c1))
         fx2, fy2 = _rational(sympy.re(c2)), _rational(sympy.im(c2))
         mlo, mhi = _rect_modulus_interval(fx1, fx2, fy1, fy2, bits)
@@ -236,7 +238,8 @@ def _roots_of_factor(factor: tuple[int, ...], bits: int) -> list[dict]:
                 rational_value=None,
             )
         )
-    assert len(out) == deg
+    if len(out) != deg:
+        raise RuntimeError(f"isolated {len(out)} roots of the degree-{deg} factor {factor}")
     return out
 
 
@@ -295,7 +298,11 @@ def eigenvalue_classes(
     have rigorously separated modulus enclosures.  Raises PrecisionError if
     separation cannot be certified at the maximum precision.
     """
-    factors = factor_integer_poly(char_poly_coeffs(M))
+    return _eigenvalue_classes(factor_integer_poly(char_poly_coeffs(M)), precision_bits)
+
+
+def _eigenvalue_classes(factors, precision_bits: int):
+    """eigenvalue_classes from the factorization [(factor, multiplicity), ...]."""
     bits = precision_bits
     while True:
         records: list[EigenvalueRecord] = []
@@ -389,7 +396,8 @@ def has_modulus_sqrt_q(
         )
     if g_coeffs[0] != 1:
         lead = g_coeffs[0]
-        assert all(c % lead == 0 for c in g_coeffs)
+        if any(c % lead for c in g_coeffs):
+            raise RuntimeError(f"gcd of monic integer polynomials is not monic up to a unit: {g_coeffs}")
         g_coeffs = [c // lead for c in g_coeffs]
 
     witnesses: list[complex] = []
@@ -510,10 +518,6 @@ class Projector:
     matrix: tuple[tuple[Fraction, ...], ...]
 
 
-def _fraction_poly_coeffs(p: Poly) -> tuple[Fraction, ...]:
-    return tuple(Fraction(int(c.p), int(c.q)) for c in p.all_coeffs())
-
-
 def factor_projectors(M: IntMatrix) -> tuple[Projector, ...]:
     """Exact rational idempotents P_F = e_F(M^t), one per irreducible factor.
 
@@ -524,35 +528,54 @@ def factor_projectors(M: IntMatrix) -> tuple[Projector, ...]:
     exactly here on every call (the matrices are small).
     """
     coeffs = char_poly_coeffs(M)
-    factors = factor_integer_poly(coeffs)
-    char = Poly(list(coeffs), _x, domain="QQ")
-    Mt = M.transpose().entries
-    n = M.dim
+    return _factor_projectors(M, coeffs, factor_integer_poly(coeffs))
 
-    projectors: list[Projector] = []
-    total = [[Fraction(0)] * n for _ in range(n)]
+
+def _factor_projectors(M: IntMatrix, coeffs, factors) -> tuple[Projector, ...]:
+    """factor_projectors from char(M)'s coefficients and factorization.
+
+    Each idempotent is e_F = E_F / D_F with an integer polynomial E_F and a
+    positive integer D_F, so P_F = E_F(M^t) / D_F with E_F(M^t) an integer
+    matrix.  The identities are checked in integers: E_F^2 = D_F E_F,
+    M^t E_F = E_F M^t, and sum_F (D/D_F) E_F = D I for D = lcm(D_F).
+    """
+    char = Poly(list(coeffs), _x, domain="QQ")
+    Mt = M.transpose()
+    n = M.dim
+    scaled = []  # (factor, multiplicity, E_F(M^t), D_F)
     for fac, mult in factors:
         G = Poly(list(fac), _x, domain="QQ") ** mult
-        H, rem = sympy.div(char, G)
-        assert rem.is_zero
-        s, t, g = sympy.gcdex(G.as_expr(), H.as_expr(), _x)
-        assert sympy.simplify(g - 1) == 0, "distinct irreducible factors are coprime"
-        e = (Poly(t, _x, domain="QQ") * H) % char
-        P = poly_eval_at_matrix(_fraction_poly_coeffs(e), Mt)
-        projectors.append(Projector(factor=fac, multiplicity=mult, matrix=P))
+        H, rem = char.div(G)
+        if not rem.is_zero:
+            raise RuntimeError(f"factor {fac}^{mult} does not divide the characteristic polynomial")
+        _s, t, g = G.gcdex(H)
+        if not g.is_one:
+            raise RuntimeError(f"factor {fac}^{mult} is not coprime to its complement")
+        e = [Fraction(int(c.p), int(c.q)) for c in ((t * H) % char).all_coeffs()]
+        D = lcm(*(c.denominator for c in e))
+        E = poly_at_int_matrix([int(c * D) for c in e], Mt)
+        if E.matmul(E).entries != tuple(tuple(D * x for x in row) for row in E.entries):
+            raise RuntimeError(f"projector for factor {fac} is not idempotent")
+        if Mt.matmul(E) != E.matmul(Mt):
+            raise RuntimeError(f"projector for factor {fac} does not commute with M^t")
+        scaled.append((fac, mult, E, D))
+
+    D_all = lcm(*(D for *_, D in scaled))
+    total = [[0] * n for _ in range(n)]
+    for *_, E, D in scaled:
         for r in range(n):
             for c in range(n):
-                total[r][c] += P[r][c]
-
-    assert all(
-        total[r][c] == (1 if r == c else 0) for r in range(n) for c in range(n)
-    ), "projectors must sum to the identity"
-    for p in projectors:
-        assert rational_matmul(p.matrix, p.matrix) == p.matrix, "projector must be idempotent"
-        assert rational_matmul(Mt, p.matrix) == rational_matmul(p.matrix, Mt), (
-            "projector must commute with M^t"
+                total[r][c] += E.entries[r][c] * (D_all // D)
+    if any(total[r][c] != (D_all if r == c else 0) for r in range(n) for c in range(n)):
+        raise RuntimeError("projectors do not sum to the identity")
+    return tuple(
+        Projector(
+            factor=fac,
+            multiplicity=mult,
+            matrix=tuple(tuple(Fraction(x, D) for x in row) for row in E.entries),
         )
-    return tuple(projectors)
+        for fac, mult, E, D in scaled
+    )
 
 
 def _apply_rational(matrix, vec):
@@ -594,8 +617,10 @@ def j_pr_kappa(
     bvec = tuple(Fraction(v) for v in b)
     if all(v == 0 for v in bvec):
         raise ValueError("b must be nonzero")
-    classes = eigenvalue_classes(M, precision_bits)
-    projectors = {p.factor: p for p in factor_projectors(M)}
+    coeffs = char_poly_coeffs(M)
+    factors = factor_integer_poly(coeffs)
+    classes = _eigenvalue_classes(factors, precision_bits)
+    projectors = {p.factor: p for p in _factor_projectors(M, coeffs, factors)}
     proj_b = {fac: _apply_rational(p.matrix, bvec) for fac, p in projectors.items()}
     active = {fac: any(v != 0 for v in pb) for fac, pb in proj_b.items()}
 
@@ -619,13 +644,14 @@ def j_pr_kappa(
             f_cls = (1,)
             for fac in class_factors:
                 f_cls = poly_mul(f_cls, fac)
-            A = poly_eval_at_matrix(f_cls, M.transpose().entries)
+            A = poly_at_int_matrix(f_cls, M.transpose()).entries
             kappa = 1
             w = _apply_rational(A, pr_b)
             max_mult = max(projectors[fac].multiplicity for fac in class_factors)
             while any(v != 0 for v in w):
                 kappa += 1
-                assert kappa <= max_mult, "Jordan depth cannot exceed factor multiplicity"
+                if kappa > max_mult:
+                    raise RuntimeError("Jordan depth cannot exceed factor multiplicity")
                 w = _apply_rational(A, w)
             return JPRKappa(
                 j=j,
@@ -635,4 +661,4 @@ def j_pr_kappa(
                 pr_b=pr_b,
                 kappa=kappa,
             )
-    raise AssertionError("b is nonzero, so some projector must see it")
+    raise RuntimeError("b is nonzero, so some projector must see it")

@@ -23,7 +23,9 @@ sigma_ab(q n) ~ (1/q) sum_{c,d} C[(a,b),(c,d)] sigma_cd(n), because C is
 invariant under transposing pairs simultaneously in rows and columns.
 
 Determinism: counts are exact int64, so every derived table is
-bit-identical across runs for fixed (z, K, L).
+bit-identical across runs for fixed (z, K, L).  They are built level by
+level with float64 matrix products, which are exact while L <= 2^53 (every
+term and partial sum is an integer at most L); larger L raises ValueError.
 """
 
 from __future__ import annotations
@@ -53,6 +55,13 @@ DEFAULT_LAGS = 4096
 
 # prefixes up to this length are counted directly; longer ones recurse
 _DIRECT_COUNT_MAX = 4096
+# float64 represents every integer up to 2^53, so lag counts stay exact up to this L
+_EXACT_FLOAT_MAX = 2**53
+# multiply-adds per matrix product in _lag_counts.  OpenBLAS runs products
+# this small on the calling thread; one product per level at K = 3^10 starts
+# a second thread, which cost 3 MB of resident memory in each fresh process
+# and made the counts no faster on 2 cores.
+_BLAS_CALL_MACS = 2**18
 
 
 @dataclass(frozen=True)
@@ -109,19 +118,27 @@ def _direct_counts(u: np.ndarray, L: int, K: int, m: int) -> np.ndarray:
     return counts.reshape(K + 1, m, m)
 
 
-def _lag_transfers(images: np.ndarray) -> dict[int, np.ndarray]:
-    """T_delta[(a,b), (x,y)] = #{i : w(x)_i = a, w(y)_{i+delta} = b}, 1-Q <= delta < Q.
+def _lag_transfers(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The transfer matrices T_delta, transposed and stacked side by side in float64.
 
-    images is the (m, Q) table of w = z^p; T_0 is the coincidence matrix of w.
+    T_delta[(a,b), (x,y)] = #{i : w(x)_i = a, w(y)_{i+delta} = b} for 1-Q <= delta < Q,
+    where images is the (m, Q) table of w = z^p; T_0 is the coincidence matrix of w.
+    Returns (forward, backward): column block delta of forward is T_delta^T for
+    0 <= delta < Q, and column block delta + Q - 1 of backward is T_delta^T for
+    1-Q <= delta < 0, each block m^2 wide.
     """
     m, Q = images.shape
     pairs = (np.arange(m)[:, None, None] * m + np.arange(m)[None, :, None]) * (m * m)
-    out = {}
+    blocks = []
     for delta in range(1 - Q, Q):
         i = np.arange(max(0, -delta), min(Q, Q - delta))
         codes = pairs + images[:, None, i] * m + images[None, :, i + delta]
-        out[delta] = np.bincount(codes.ravel(), minlength=m**4).reshape(m * m, m * m).T
-    return out
+        # row (x,y), column (a,b): already T_delta^T
+        blocks.append(np.bincount(codes.ravel(), minlength=m**4).reshape(m * m, m * m))
+    return (
+        np.hstack(blocks[Q - 1 :]).astype(np.float64),
+        np.hstack(blocks[: Q - 1]).astype(np.float64),
+    )
 
 
 def _lag_counts(z: Substitution, L: int, K: int) -> np.ndarray:
@@ -134,42 +151,63 @@ def _lag_counts(z: Substitution, L: int, K: int) -> np.ndarray:
     form of the renormalization S_q(Sigma) = (1/q) C Sigma).  Prefixes of at
     most _DIRECT_COUNT_MAX symbols are counted directly, so no long prefix
     of u is ever built.
+
+    Each level multiplies the child's table by the stacked transfer
+    matrices (see _lag_transfers) in float64, in products of at most
+    _BLAS_CALL_MACS multiply-adds.  They are exact: every entry, every
+    product term and every partial sum is a nonnegative integer at most L,
+    and float64 holds every integer up to 2^53, so L > 2^53 raises
+    ValueError.
     """
     q = constant_length(z)
     if q is None or q < 2:
         raise ValueError("lag counting requires a constant-length substitution with q >= 2")
     if L < 1:
         raise ValueError("prefix length L must be >= 1")
+    if L > _EXACT_FLOAT_MAX:
+        raise ValueError(f"prefix length L must be <= 2^53 = {_EXACT_FLOAT_MAX} for exact counts")
     if K < 0:
         raise ValueError("max lag K must be >= 0")
     letter, power = seed_letter(z)
     images = np.array(power_substitution(z, power).images, dtype=np.int64)
     m, Q = images.shape
-    transfers = _lag_transfers(images)
+    forward, backward = _lag_transfers(images)
+    rows = max(1, _BLAS_CALL_MACS // (Q * m**4))  # child rows per product
 
     def counts_and_window(L: int, K: int):
-        """(N over u[:L] with lags 0..K, the window u[L : L+K+1])."""
+        """(N over u[:L] with lags 0..K as float64 (K+1, m*m), the window u[L : L+K+1])."""
         if L <= _DIRECT_COUNT_MAX:
             u = fixed_point_prefix(z, letter, power, L + K + 1)
-            return _direct_counts(u, L, K, m), u[L:]
+            counts = _direct_counts(u, L, K, m).reshape(K + 1, m * m)
+            return counts.astype(np.float64), u[L:]
         child_L, s = divmod(L, Q)
         child_K = -(-K // Q)
         child, window = counts_and_window(child_L, child_K)
-        # u = w(u), so w(u[L' : L'+K'+1]) = u[Q L' : Q (L'+K'+1)]: it holds the
-        # s tail positions Q L' .. L-1 with all their partners, and u[L : L+K+1]
-        image = images[window].ravel()
-        counts = _direct_counts(image, s, K, m).reshape(K + 1, m * m)
         # position n = Q j + i < Q L' has partner n + k = Q (j + d) + r, with
         # i + k = Q d + r: the child pair (u[j], u[j+d]) read through columns
         # i and r of w.  Grouping by delta = r - i = k - Q d gives
-        # N_L[Q d + delta] += T_delta N_L'[d].
-        flat = child.reshape(child_K + 1, m * m)
-        for delta, T in transfers.items():
-            d = np.arange(1 if delta < 0 else 0, (K - delta) // Q + 1)
-            counts[Q * d + delta] += flat[d] @ T.T
-        return counts.reshape(K + 1, m, m), image[s : s + K + 1]
+        # N_L[Q d + delta] += T_delta N_L'[d], so row d of child @ forward
+        # holds rows Q d .. Q d + Q - 1, and row d of child @ backward adds
+        # into rows Q (d-1) + 1 .. Q (d-1) + Q - 1.
+        D = child_K + 1
+        counts = np.empty((D, Q, m * m))
+        for lo in range(0, D, rows):
+            hi = min(lo + rows, D)
+            block = child[lo : hi + 1]  # with row hi, whose backward blocks land in row hi - 1
+            counts[lo:hi] = (block[: hi - lo] @ forward).reshape(hi - lo, Q, m * m)
+            counts[lo : lo + len(block) - 1, 1:] += (block[1:] @ backward).reshape(-1, Q - 1, m * m)
+        counts = counts.reshape(-1, m * m)[: K + 1]
+        # u = w(u), so w(u[L' : L'+K'+1]) = u[Q L' : Q (L'+K'+1)]: it holds the
+        # s tail positions Q L' .. L-1 with all their partners, and u[L : L+K+1];
+        # the K+1 lags of one position are distinct rows, so no index repeats
+        image = images[window].ravel()
+        lags = np.arange(K + 1)
+        for t in range(s):
+            counts[lags, image[t] * m + image[t : t + K + 1]] += 1
+        return counts, image[s : s + K + 1]
 
     counts, _ = counts_and_window(L, K)
+    counts = counts.astype(np.int64).reshape(K + 1, m, m)
     sums = counts.sum(axis=(1, 2))
     if not np.all(sums == L):
         raise RuntimeError(f"lag counts do not sum to L={L} on every lag row: {np.unique(sums)}")
@@ -180,7 +218,7 @@ def pair_correlations(z: Substitution, K: int = DEFAULT_LAGS, L: int = DEFAULT_P
     """Estimate all pair correlations at budget (K, L)."""
     counts = _lag_counts(z, L, K)
     # public convention puts the lead letter first: sigma_ab(k) = N[k,b,a]/L
-    sigma = np.swapaxes(counts, 1, 2).astype(np.float64) / L
+    sigma = np.swapaxes(counts, 1, 2) / L
     return PairCorrelations(z.hash_key(), K, L, z.alphabet.letters, sigma)
 
 

@@ -2,7 +2,7 @@
 
 Thin bridges over sympy for the exact computations the spectral analysis
 needs: integer characteristic polynomials, irreducible factorization over Z,
-rational nullspaces, polynomial evaluation at a matrix, and rational
+rational nullspaces, integer polynomials evaluated at integer matrices, and rational
 interval enclosures of square roots.  All results are exact Python ints /
 fractions.Fraction; sympy types never leak out of this module.
 """
@@ -22,7 +22,7 @@ __all__ = [
     "char_poly_coeffs",
     "factor_integer_poly",
     "poly_mul",
-    "poly_eval_at_matrix",
+    "poly_at_int_matrix",
     "rational_nullspace",
     "rational_matmul",
     "sqrt_interval",
@@ -43,8 +43,8 @@ def char_poly_coeffs(M: IntMatrix) -> tuple[int, ...]:
     """
     p = _to_sympy_matrix(M).charpoly(_x)
     coeffs = [int(c) for c in p.all_coeffs()]
-    assert coeffs[0] == 1, "characteristic polynomial must be monic"
-    assert len(coeffs) == M.dim + 1
+    if coeffs[0] != 1 or len(coeffs) != M.dim + 1:
+        raise RuntimeError(f"det(xI - M) of a {M.dim}x{M.dim} matrix must be monic of degree {M.dim}")
     return tuple(coeffs)
 
 
@@ -54,13 +54,17 @@ def factor_integer_poly(coeffs: Sequence[int]) -> list[tuple[tuple[int, ...], in
     Returns [(factor_coeffs_leading_first, multiplicity), ...] with monic
     integer factors, sorted deterministically (by degree, then coefficients).
     """
+    if coeffs[0] != 1:
+        raise ValueError(f"polynomial must be monic, got leading coefficient {coeffs[0]}")
     p = Poly(list(coeffs), _x, domain="ZZ")
     content, factors = p.factor_list()
-    assert content == 1, "monic polynomial has unit content"
+    if content != 1:
+        raise RuntimeError(f"monic polynomial has unit content, got {content}")
     out = []
     for f, mult in factors:
         fc = [int(c) for c in f.all_coeffs()]
-        assert fc[0] == 1, "factors of a monic integer polynomial are monic"
+        if fc[0] != 1:
+            raise RuntimeError(f"factors of a monic integer polynomial are monic, got {fc}")
         out.append((tuple(fc), int(mult)))
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out
@@ -75,30 +79,19 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def poly_eval_at_matrix(coeffs: Sequence, M: Sequence[Sequence[Fraction]]):
-    """Evaluate a polynomial (leading-first, rational coefficients) at a matrix.
+def poly_at_int_matrix(coeffs: Sequence[int], M: IntMatrix) -> IntMatrix:
+    """Evaluate an integer polynomial (leading coefficient first) at an integer matrix.
 
-    The matrix is a nested sequence of Fractions/ints; returns a tuple-of-tuples
-    of Fractions.  Horner scheme, exact.
+    Horner scheme in exact integer arithmetic.
     """
-    n = len(M)
-    rows = [tuple(Fraction(x) for x in row) for row in M]
-
-    def matmul(A, B):
-        Bt = list(zip(*B))
-        return tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in Bt) for row in A
-        )
-
-    acc = tuple(
-        tuple(Fraction(coeffs[0]) if r == c else Fraction(0) for c in range(n))
-        for r in range(n)
-    )
-    for c in coeffs[1:]:
-        acc = matmul(acc, rows)
-        acc = tuple(
-            tuple(acc[r][cc] + (Fraction(c) if r == cc else 0) for cc in range(n))
-            for r in range(n)
+    n = M.dim
+    acc = IntMatrix(tuple(tuple(coeffs[0] if r == c else 0 for c in range(n)) for r in range(n)))
+    for coeff in coeffs[1:]:
+        acc = IntMatrix(
+            tuple(
+                tuple(x + coeff if r == c else x for c, x in enumerate(row))
+                for r, row in enumerate(acc.matmul(M).entries)
+            )
         )
     return acc
 

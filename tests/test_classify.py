@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import sys
 import time
 
 import pytest
@@ -158,6 +159,29 @@ def test_purely_discrete_computes_no_enclosures(monkeypatch):
     z = parse_substitution("0 -> 3 2\n1 -> 3 1\n2 -> 2 0\n3 -> 2 1\n")
     assert list(char_poly(substitution_matrix(z)).coeffs) == [1, -2, -1, 1, 2]  # (x - 2)(x^3 - x - 1)
     assert classify(z).verdict == "PurelyDiscrete"
+
+
+def test_classify_computes_height_and_classes_once():
+    # the pure base carries the height, and has height 1 by construction, so
+    # Dekking's criterion is read off its ergodic classes directly
+    counted = {
+        importlib.import_module("substrum.reduction").compute_height.__code__: "compute_height",
+        importlib.import_module("substrum.coincidence").ergodic_classes.__code__: "ergodic_classes",
+    }
+    calls = {name: 0 for name in counted.values()}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in counted:
+            calls[counted[frame.f_code]] += 1
+
+    z = load("height_two")
+    sys.setprofile(profile)
+    try:
+        verdict = classify(z)
+    finally:
+        sys.setprofile(None)
+    assert verdict.verdict == "PurelyDiscrete"
+    assert calls == {"compute_height": 1, "ergodic_classes": 1}
 
 
 def test_height_two_evidence():

@@ -212,6 +212,21 @@ def test_estimate_dim_length_one_exits_4(run_cli, tmp_path):
     assert "Traceback" not in out.stderr
 
 
+def test_estimate_dim_prefix_above_2_53_exits_4(run_cli, examples_dir, tmp_path):
+    # lag counts are exact in float64 only up to L = 2^53
+    out = run_cli(
+        "estimate-dim",
+        str(examples_dir / "thue_morse.sub"),
+        "--function", "1,-1",
+        "--prefix", str(2**53 + 1),
+        "--out", str(tmp_path / "dim.csv"),
+    )
+    assert out.returncode == 4
+    assert out.stderr.startswith("substrum: estimate-dim: ")
+    assert "2^53" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_stdout_is_pure_json(run_cli, examples_dir):
     # diagnostics (including numba warnings) must never pollute stdout
     out = run_cli("analyze", str(examples_dir / "small_second_eigenvalue.sub"), "--json")

@@ -5,9 +5,14 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import substrum.eigen as eigen_module
 from substrum.core import IntMatrix, parse_substitution, substitution_matrix
-from substrum.corpus import load
+from substrum.corpus import CORPUS, load
+from substrum.exactlin import char_poly_coeffs, factor_integer_poly
 from substrum.eigen import (
     char_poly,
     eigenvalue_multiset,
@@ -165,6 +170,87 @@ def test_factor_projectors_identities(name):
                 assert all(x == 0 for row in zero for x in row)
     # partition of unity
     assert total == identity
+
+
+def _fraction_horner(coeffs, A):
+    n = len(A)
+    acc = [[coeffs[0] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    for c in coeffs[1:]:
+        acc = _matmul(acc, A)
+        for i in range(n):
+            acc[i][i] += c
+    return acc
+
+
+def reference_projectors(M):
+    """(factor, multiplicity, P) per factor, from expression-level sympy.gcdex
+    and a Horner scheme over Fractions, independently of the integer path."""
+    x = sympy.Symbol("x")
+    coeffs = char_poly_coeffs(M)
+    char = sympy.Poly(list(coeffs), x, domain="QQ")
+    Mt = [[Fraction(v) for v in row] for row in M.transpose().entries]
+    out = []
+    for fac, mult in factor_integer_poly(coeffs):
+        G = sympy.Poly(list(fac), x, domain="QQ") ** mult
+        H, rem = sympy.div(char, G)
+        assert rem.is_zero
+        _s, t, g = sympy.gcdex(G.as_expr(), H.as_expr(), x)
+        assert sympy.simplify(g - 1) == 0
+        e = (sympy.Poly(t, x, domain="QQ") * H) % char
+        P = _fraction_horner([Fraction(int(c.p), int(c.q)) for c in e.all_coeffs()], Mt)
+        out.append((fac, mult, P))
+    return out
+
+
+def assert_projectors_match_reference(M):
+    projectors = factor_projectors(M)
+    got = [(p.factor, p.multiplicity, [list(row) for row in p.matrix]) for p in projectors]
+    assert got == reference_projectors(M)
+    assert all(type(x) is Fraction for p in projectors for row in p.matrix for x in row)
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+def test_factor_projectors_match_reference_on_corpus(entry):
+    assert_projectors_match_reference(substitution_matrix(entry.substitution()))
+
+
+@st.composite
+def matrices_with_repeated_factors(draw):
+    """[[A, C], [0, A]], whose characteristic polynomial is char(A)^2; C
+    couples the two copies, so some draws are not diagonalizable."""
+    n = draw(st.integers(1, 3))
+    entry = st.integers(-2, 2)
+    A = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    C = [[draw(st.integers(-1, 1)) for _ in range(n)] for _ in range(n)]
+    rows = [A[i] + C[i] for i in range(n)] + [[0] * n + A[i] for i in range(n)]
+    return IntMatrix(tuple(tuple(row) for row in rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices_with_repeated_factors())
+def test_factor_projectors_match_reference_with_repeated_factors(M):
+    assert_projectors_match_reference(M)
+
+
+def test_factor_projectors_check_partition_of_unity(monkeypatch):
+    # a factorization missing the factor x - 3 leaves projectors that are
+    # idempotent and commute with M^t but no longer sum to the identity
+    real = factor_integer_poly
+    monkeypatch.setattr(eigen_module, "factor_integer_poly", lambda coeffs: real(coeffs)[1:])
+    with pytest.raises(RuntimeError, match="identity"):
+        factor_projectors(S("bijective_nonabelian"))
+
+
+def test_j_pr_kappa_factors_once(monkeypatch):
+    calls = []
+
+    def counting(coeffs):
+        calls.append(tuple(coeffs))
+        return factor_integer_poly(coeffs)
+
+    monkeypatch.setattr(eigen_module, "factor_integer_poly", counting)
+    j_pr_kappa(S("bijective_nonabelian"), [1, -1, 0, 0])
+    assert calls == [char_poly(S("bijective_nonabelian")).coeffs]
 
 
 def test_j_pr_kappa_bijective_nonabelian():

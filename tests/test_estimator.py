@@ -174,12 +174,26 @@ def lag_count_cases(draw):
 @example(("0 -> 1 0\n1 -> 0 1\n", 4 * 3001, 37))
 # p = 3, Q = 27: L not a multiple of Q, above the direct-count size
 @example(("0 -> 1 2 0\n1 -> 2 0 1\n2 -> 0 0 1\n", 27 * 500 + 5, 500))
+# Q = 3, K = 100 >= Q^3: L = 332170 recurses through five levels down to 1366
+# symbols, with one or two tail positions at each level
+@example(("1 -> 1 1 3\n2 -> 2 3 2\n3 -> 3 2 4\n4 -> 4 4 1\n", 332170, 100))
+# K = 3000: the top level's 1001 child rows span three products (341 rows each)
+@example(("1 -> 1 1 3\n2 -> 2 3 2\n3 -> 3 2 4\n4 -> 4 4 1\n", 3 * 4100 + 2, 3000))
 def test_lag_counts_match_direct_count(case):
     rules, L, K = case
     z = parse_substitution(rules)
     counts = _lag_counts(z, L, K)
     assert counts.dtype == np.int64
     assert np.array_equal(counts, brute_lag_counts(z, L, K))
+
+
+def test_lag_counts_exact_up_to_2_53():
+    # float64 holds every integer up to 2^53, and every count is at most L
+    counts = _lag_counts(TM, 2**53, 4)
+    assert counts.dtype == np.int64
+    assert np.all(counts.sum(axis=(1, 2)) == 2**53)
+    with pytest.raises(ValueError, match="2\\^53"):
+        _lag_counts(TM, 2**53 + 1, 4)
 
 
 def test_lag_counts_need_q_at_least_two():
