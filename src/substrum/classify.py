@@ -28,9 +28,10 @@ from .core import Substitution, constant_length, is_aperiodic_pansiot, is_primit
 from .eigen import (
     DEFAULT_PRECISION_BITS,
     PrecisionError,
-    has_modulus_sqrt_q,
-    second_eigenvalue_below_sqrt_q,
+    _has_modulus_sqrt_q,
+    _second_eigenvalue_below_sqrt_q,
 )
+from .exactlin import char_poly_coeffs, factor_integer_poly
 from .reduction import pure_base
 
 PURELY_DISCRETE = "PurelyDiscrete"
@@ -140,15 +141,17 @@ def classify(z: Substitution, precision_bits: int = DEFAULT_PRECISION_BITS) -> S
             eigenvalue_group=group,
         )
 
-    S = substitution_matrix(z)
-    sqrt_q = has_modulus_sqrt_q(S, q, precision_bits)
+    # one characteristic polynomial and one factorization serve both tests
+    coeffs = char_poly_coeffs(substitution_matrix(z))
+    factors = factor_integer_poly(coeffs)
+    sqrt_q = _has_modulus_sqrt_q(coeffs, factors, q, precision_bits)
     evidence["sqrt_q"] = sqrt_q
 
     if sqrt_q.present is False:
         reasons = ["NoSqrtQEigenvalue"]
         detail = "no eigenvalue of the substitution matrix has modulus sqrt(q), hence the spectrum is singular"
         try:
-            if second_eigenvalue_below_sqrt_q(S, q, precision_bits):
+            if _second_eigenvalue_below_sqrt_q(factors, q, precision_bits):
                 reasons.append("SecondEigenvalueSmall")
                 detail += "; moreover the second-largest eigenvalue modulus is certified below sqrt(q)"
         except PrecisionError:

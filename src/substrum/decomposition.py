@@ -33,14 +33,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import sympy
 
 from .coincidence import ErgodicClassification, PairAlphabet, coincidence_matrix, ergodic_classes
 from .core import IntMatrix, Substitution, constant_length, substitution_matrix
-from .exactlin import rational_matmul, rational_nullspace
+from .exactlin import (
+    char_poly_coeffs,
+    factor_integer_poly,
+    rational_inverse,
+    rational_matmul,
+    rational_nullspace,
+    rational_rank,
+    rational_solve,
+)
 
 __all__ = [
     "ClassVector",
@@ -161,15 +169,14 @@ def eigenspace_F(
                 raise ValueError("eigenspace vector not constant on an ergodic class")
             chart.append(vals.pop())
         charts.append(chart)
-    B = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in charts])
-    if B.rank() != k:
+    if rational_rank(charts) != k:
         raise ValueError("class chart is not a bijection on the q-eigenspace")
-    Binv = B.inv()
+    Binv = rational_inverse(charts)
     out = []
     for i in range(k):
         # want sum_j c_j * basis_j to have class values e_i: c solves B^T c = e_i,
         # i.e. c is the i-th row of B^{-1}
-        coeffs = [Fraction(int(Binv[i, j].p), int(Binv[i, j].q)) for j in range(k)]
+        coeffs = Binv[i]
         pair_values = tuple(
             sum(c * v[t] for c, v in zip(coeffs, basis)) for t in range(n)
         )
@@ -249,7 +256,14 @@ def extreme_points_Q(z: Substitution) -> ExtremePoints:
 
 
 def _common_eigenvectors(Ws: list) -> Optional[list[tuple[Fraction, ...]]]:
-    """A rational basis of common eigenvectors of the commuting family, or None."""
+    """A rational basis of common eigenvectors of the commuting family, or None.
+
+    The eigenvalues of a generic combination G are read off the linear
+    factors of the characteristic polynomial of the integer matrix D*G (D the
+    common denominator of G), and its eigenvectors are the nullspaces of
+    D*G - r I.  A factor of degree > 1 means an irrational eigenvalue, so no
+    rational common eigenbasis exists.
+    """
     m = len(Ws[0])
     for weights in ((3, 9, 27), (5, 25, 125), (7, 11, 13)):
         G = [[Fraction(0)] * m for _ in range(m)]
@@ -258,17 +272,19 @@ def _common_eigenvectors(Ws: list) -> Optional[list[tuple[Fraction, ...]]]:
             for r in range(m):
                 for c in range(m):
                     G[r][c] += wt * W[r][c]
-        M = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in G])
-        try:
-            eig = M.eigenvects()
-        except Exception:
-            return None
-        if not all(val.is_Rational for val, _, _ in eig):
+        D = lcm(*(x.denominator for row in G for x in row))
+        DG = IntMatrix(tuple(tuple(int(x * D) for x in row) for row in G))
+        factors = factor_integer_poly(char_poly_coeffs(DG))
+        if any(len(fac) > 2 for fac, _ in factors):
             return None
         vecs = []
-        for _, _, vlist in eig:
-            for v in vlist:
-                vecs.append(tuple(Fraction(int(x.p), int(x.q)) for x in v))
+        for fac, _ in factors:
+            r = -fac[1]
+            vecs.extend(
+                rational_nullspace(
+                    [[x - (r if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(DG.entries)]
+                )
+            )
         if len(vecs) != m:
             continue  # defective generic combination; reweight
         # every W must act diagonally on every candidate vector
@@ -317,12 +333,10 @@ def _extreme_points_exact(basis, Ws) -> Optional[ExtremePoints]:
     dim = k - 1
     vertices: list[tuple[Fraction, ...]] = []
     for combo in combinations(uniq, dim):
-        A = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row[1:]] for row in combo])
-        rhs = sympy.Matrix([[-sympy.Rational(row[0].numerator, row[0].denominator)] for row in combo])
-        if A.rank() != dim:
+        A = [row[1:] for row in combo]
+        if rational_rank(A) != dim:
             continue
-        sol = A.solve(rhs)
-        w = tuple(Fraction(int(sol[i].p), int(sol[i].q)) for i in range(dim))
+        w = rational_solve(A, [-row[0] for row in combo])
         full = (Fraction(1),) + w
         if all(sum(ci * wi for ci, wi in zip(row, full)) >= 0 for row in uniq):
             if full not in vertices:

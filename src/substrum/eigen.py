@@ -22,6 +22,11 @@ so this module works exactly:
   Bezout identities between coprime factors of the characteristic
   polynomial.
 
+All of the exact algebra (characteristic polynomials, factorization over
+Z, gcds, Bezout identities) comes from `exactlin`, in plain integers and
+fractions.  sympy is imported only to isolate the roots of irreducible
+factors of degree >= 3, on first use.
+
 The elimination data (j, pr, kappa) of a rational vector b — the index of
 the first eigenvalue class that sees b, the projection of b onto that class,
 and the depth of the deepest Jordan chain it touches — is computed in exact
@@ -39,14 +44,14 @@ from math import lcm
 from math import sqrt as _fsqrt
 from typing import Optional, Sequence
 
-import sympy
-from sympy import Poly, Rational, Symbol
-
 from .core import IntMatrix
 from .exactlin import (
     char_poly_coeffs,
     factor_integer_poly,
     poly_at_int_matrix,
+    poly_divmod,
+    poly_gcd,
+    poly_gcdex,
     poly_mul,
     sqrt_interval,
 )
@@ -66,8 +71,6 @@ __all__ = [
     "factor_projectors",
     "j_pr_kappa",
 ]
-
-_x = Symbol("x")
 
 DEFAULT_PRECISION_BITS = 128
 _MAX_PRECISION_BITS = 4096
@@ -203,9 +206,13 @@ def _roots_of_factor(factor: tuple[int, ...], bits: int) -> list[dict]:
             )
         return out
 
-    # degree >= 3: certified isolating intervals/rectangles
-    poly = Poly([int(c) for c in factor], _x, domain="ZZ")
-    eps = Rational(1, 2**bits)
+    # degree >= 3: certified isolating intervals/rectangles.  sympy is
+    # imported here, on first use: nothing else needs it, and its import
+    # costs more than the rest of a command-line call.
+    import sympy
+
+    poly = sympy.Poly([int(c) for c in factor], sympy.Symbol("x"), domain="ZZ")
+    eps = sympy.Rational(1, 2**bits)
     real_iv, cplx_iv = poly.intervals(all=True, eps=eps)
     out = []
     for _interval, mult in real_iv + cplx_iv:
@@ -382,11 +389,18 @@ def has_modulus_sqrt_q(
     modulus enclosures, refining precision and reporting an explicit
     ambiguous outcome (present=None) if enclosures keep straddling.
     """
-    p = char_poly_coeffs(M)
-    rev = _reversal_poly(p, q)
-    g = sympy.gcd(Poly(list(p), _x, domain="ZZ"), Poly(list(rev), _x, domain="ZZ"))
-    g_coeffs = [int(c) for c in g.all_coeffs()]
-    if len(g_coeffs) == 1:
+    coeffs = char_poly_coeffs(M)
+    return _has_modulus_sqrt_q(coeffs, factor_integer_poly(coeffs), q, precision_bits)
+
+
+def _has_modulus_sqrt_q(coeffs, factors, q: int, bits: int) -> SqrtQResult:
+    """has_modulus_sqrt_q from char(M)'s coefficients and factorization.
+
+    The irreducible factors of the gcd are the factors of char(M) that
+    divide it, in the same order as in `factors`.
+    """
+    g = poly_gcd(coeffs, _reversal_poly(coeffs, q))
+    if len(g) == 1:
         return SqrtQResult(
             present=False,
             witnesses=(),
@@ -394,17 +408,14 @@ def has_modulus_sqrt_q(
             exact_witnesses=True,
             detail="gcd prefilter is constant: no (lambda, q/lambda) root pairs exist",
         )
-    if g_coeffs[0] != 1:
-        lead = g_coeffs[0]
-        if any(c % lead for c in g_coeffs):
-            raise RuntimeError(f"gcd of monic integer polynomials is not monic up to a unit: {g_coeffs}")
-        g_coeffs = [c // lead for c in g_coeffs]
 
     witnesses: list[complex] = []
     witness_factors: list[tuple[int, ...]] = []
     ambiguous: list[tuple[int, ...]] = []
     qf = Fraction(q)
-    for fac, _mult in factor_integer_poly(g_coeffs):
+    for fac, _mult in factors:
+        if poly_divmod(g, fac)[1]:
+            continue
         deg = len(fac) - 1
         if deg == 1:
             r = Fraction(-fac[1])
@@ -436,17 +447,17 @@ def has_modulus_sqrt_q(
             # force minimal polynomial x^2 - q, contradiction — never a hit
             continue
         # degree >= 3: certified enclosures against sqrt(q)
-        bits = precision_bits
+        fac_bits = bits
         while True:
             undecided = False
-            for root in _roots_of_factor(fac, bits):
+            for root in _roots_of_factor(fac, fac_bits):
                 lo, hi = root["modulus_lo"], root["modulus_hi"]
                 if hi * hi < qf or lo * lo > qf:
                     continue
                 undecided = True
-            if not undecided or bits >= _MAX_PRECISION_BITS:
+            if not undecided or fac_bits >= _MAX_PRECISION_BITS:
                 break
-            bits *= 2
+            fac_bits *= 2
         if undecided:
             ambiguous.append(fac)
 
@@ -484,10 +495,17 @@ def second_eigenvalue_below_sqrt_q(
     (multiplicities counted).  Exact when |theta_2|^2 is known as a rational;
     otherwise decided by enclosures, refining until one side certifies.
     """
+    return _second_eigenvalue_below_sqrt_q(
+        factor_integer_poly(char_poly_coeffs(M)), q, precision_bits
+    )
+
+
+def _second_eigenvalue_below_sqrt_q(factors, q: int, bits: int) -> bool:
+    """second_eigenvalue_below_sqrt_q from the factorization of char(M)."""
     qf = Fraction(q)
-    bits = precision_bits
     while True:
-        multiset = eigenvalue_multiset(eigenvalues(M, bits))
+        classes = _eigenvalue_classes(factors, bits)
+        multiset = eigenvalue_multiset([r for cls in classes for r in cls])
         if len(multiset) < 2:
             return True
         theta2 = multiset[1]
@@ -539,19 +557,20 @@ def _factor_projectors(M: IntMatrix, coeffs, factors) -> tuple[Projector, ...]:
     matrix.  The identities are checked in integers: E_F^2 = D_F E_F,
     M^t E_F = E_F M^t, and sum_F (D/D_F) E_F = D I for D = lcm(D_F).
     """
-    char = Poly(list(coeffs), _x, domain="QQ")
     Mt = M.transpose()
     n = M.dim
     scaled = []  # (factor, multiplicity, E_F(M^t), D_F)
     for fac, mult in factors:
-        G = Poly(list(fac), _x, domain="QQ") ** mult
-        H, rem = char.div(G)
-        if not rem.is_zero:
+        G = (1,)
+        for _ in range(mult):
+            G = poly_mul(G, fac)
+        H, rem = poly_divmod(coeffs, G)
+        if rem:
             raise RuntimeError(f"factor {fac}^{mult} does not divide the characteristic polynomial")
-        _s, t, g = G.gcdex(H)
-        if not g.is_one:
+        _s, t, g = poly_gcdex(G, H)
+        if g != (1,):
             raise RuntimeError(f"factor {fac}^{mult} is not coprime to its complement")
-        e = [Fraction(int(c.p), int(c.q)) for c in ((t * H) % char).all_coeffs()]
+        e = poly_divmod(poly_mul(t, H), coeffs)[1]
         D = lcm(*(c.denominator for c in e))
         E = poly_at_int_matrix([int(c * D) for c in e], Mt)
         if E.matmul(E).entries != tuple(tuple(D * x for x in row) for row in E.entries):

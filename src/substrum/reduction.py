@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import sympy
-from sympy import Poly, Symbol
 
 from .core import (
     Alphabet,
@@ -44,6 +42,7 @@ from .core import (
     power_substitution,
     seed_letter,
 )
+from .exactlin import poly_divmod, poly_gcd
 
 __all__ = [
     "HeightInfo",
@@ -55,8 +54,6 @@ __all__ = [
     "return_words",
     "spectrum_difference_is_trivial",
 ]
-
-_x = Symbol("x")
 
 
 @dataclass(frozen=True)
@@ -313,22 +310,50 @@ def _coeffs(p) -> list[int]:
     return [int(c) for c in p]
 
 
-def _strip_trivial_roots(p: Poly, cyclotomic_bound: int) -> Poly:
+def _euler_phi(d: int) -> int:
+    out, rest, f = d, d, 2
+    while f * f <= rest:
+        if rest % f == 0:
+            while rest % f == 0:
+                rest //= f
+            out -= out // f
+        f += 1
+    if rest > 1:
+        out -= out // rest
+    return out
+
+
+def _cyclotomic(d: int, known: dict) -> tuple[int, ...]:
+    """Phi_d: x^d - 1 divided exactly by Phi_e for every divisor e < d of d."""
+    if d not in known:
+        phi = (1,) + (0,) * (d - 1) + (-1,)
+        for e in range(1, d):
+            if d % e == 0:
+                phi, rem = poly_divmod(phi, _cyclotomic(e, known))
+                if rem:
+                    raise RuntimeError(f"Phi_{e} must divide x^{d} - 1")
+        known[d] = phi
+    return known[d]
+
+
+def _strip_trivial_roots(p: tuple[int, ...], cyclotomic_bound: int) -> tuple[int, ...]:
     # roots at 0: drop trailing zero coefficients
-    while p.degree() > 0 and p.eval(0) == 0:
-        p = Poly(p.all_coeffs()[:-1], _x, domain="ZZ")
+    while len(p) > 1 and p[-1] == 0:
+        p = p[:-1]
     # roots of unity: divide out cyclotomic factors while they divide exactly;
     # phi(d) >= sqrt(d/2), so any cyclotomic factor of a degree-n polynomial
-    # has d <= 2 n^2 and the bound exhausts all candidates
+    # has d <= 2 n^2 and the bound exhausts all candidates.  Phi_d, of degree
+    # phi(d), is built only when it is no longer than p.
+    known: dict[int, tuple[int, ...]] = {}
     for d in range(1, cyclotomic_bound + 1):
-        phi = Poly(sympy.cyclotomic_poly(d, _x), _x, domain="ZZ")
-        if phi.degree() > p.degree():
+        if _euler_phi(d) > len(p) - 1:
             continue
-        while p.degree() >= phi.degree():
-            quo, rem = sympy.div(p, phi)
-            if not rem.is_zero:
+        phi = _cyclotomic(d, known)
+        while len(p) >= len(phi):
+            quo, rem = poly_divmod(p, phi)
+            if rem:
                 break
-            p = Poly(quo, _x, domain="ZZ")
+            p = quo
     return p
 
 
@@ -344,15 +369,13 @@ def spectrum_difference_is_trivial(p1, p2) -> SpectrumComparison:
     c1, c2 = _coeffs(p1), _coeffs(p2)
     n = max(len(c1), len(c2)) - 1
     bound = 2 * n * n + 1
-    s1 = _strip_trivial_roots(Poly(c1, _x, domain="ZZ"), bound)
-    s2 = _strip_trivial_roots(Poly(c2, _x, domain="ZZ"), bound)
-    g = sympy.gcd(s1, s2)
-    l1, r1 = sympy.div(s1, g)
-    l2, r2 = sympy.div(s2, g)
-    if not (r1.is_zero and r2.is_zero):
+    s1 = _strip_trivial_roots(tuple(c1), bound)
+    s2 = _strip_trivial_roots(tuple(c2), bound)
+    g = poly_gcd(s1, s2)
+    left1, r1 = poly_divmod(s1, g)
+    left2, r2 = poly_divmod(s2, g)
+    if r1 or r2:
         raise RuntimeError("gcd does not divide both stripped polynomials")
-    left1 = tuple(int(c) for c in Poly(l1, _x).all_coeffs())
-    left2 = tuple(int(c) for c in Poly(l2, _x).all_coeffs())
     return SpectrumComparison(
         trivial=(left1 == (1,) and left2 == (1,)),
         leftover=(left1, left2),

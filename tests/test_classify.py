@@ -10,7 +10,7 @@ import pytest
 from substrum.classify import classify
 from substrum.coincidence import bijectivity_profile
 from substrum.core import parse_substitution, power_substitution, substitution_matrix
-from substrum.corpus import CORPUS, load
+from substrum.corpus import CORPUS, corpus_entry, load
 from substrum.eigen import char_poly, eigenvalues
 from substrum.report import analysis_report, spectrum_report
 
@@ -204,3 +204,28 @@ def test_second_eigenvalue_reason_matches_theta():
         reasons = classify(z).reasons
         if "SecondEigenvalueSmall" in reasons:
             assert below
+
+
+@pytest.mark.parametrize("name", ["thue_morse", "bijective_nonabelian", "rudin_shapiro"])
+def test_classify_factors_the_char_poly_once(name):
+    # the sqrt(q) test and the theta_2 test share one characteristic
+    # polynomial and one factorization
+    exactlin = importlib.import_module("substrum.exactlin")
+    counted = {
+        exactlin.char_poly_coeffs.__code__: "char_poly_coeffs",
+        exactlin.factor_integer_poly.__code__: "factor_integer_poly",
+    }
+    calls = {fn: 0 for fn in counted.values()}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in counted:
+            calls[counted[frame.f_code]] += 1
+
+    z = load(name)
+    sys.setprofile(profile)
+    try:
+        verdict = classify(z)
+    finally:
+        sys.setprofile(None)
+    assert verdict.verdict == corpus_entry(name).expected_verdict
+    assert calls == {"char_poly_coeffs": 1, "factor_integer_poly": 1}

@@ -227,6 +227,51 @@ def test_estimate_dim_prefix_above_2_53_exits_4(run_cli, examples_dir, tmp_path)
     assert "Traceback" not in out.stderr
 
 
+NO_SYMPY_CHILD = """
+import contextlib, io, json, pathlib, sys
+import substrum
+from substrum import cli
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+loaded = ['sympy' in sys.modules]
+for path in sorted(pathlib.Path(sys.argv[1]).glob('*.sub')):
+    for command in ('classify', 'analyze', 'spectrum'):
+        run(command, str(path))
+        loaded.append('sympy' in sys.modules)
+code, out = run('spectrum', sys.argv[2])
+print(json.dumps({'loaded': loaded, 'code': code, 'report': json.loads(out),
+                  'sympy_after': 'sympy' in sys.modules}))
+"""
+
+
+def test_cli_does_not_load_sympy_on_the_corpus(child_env, examples_dir, tmp_path):
+    # every corpus factor has degree <= 2, so closed forms decide everything;
+    # sympy is imported only to isolate roots of a degree-3 factor
+    deg3 = tmp_path / "deg3.sub"
+    deg3.write_text("0 -> 3 0\n1 -> 2 2\n2 -> 0 2\n3 -> 1 2\n")
+    out = subprocess.run(
+        [sys.executable, "-c", NO_SYMPY_CHILD, str(examples_dir), str(deg3)],
+        capture_output=True,
+        text=True,
+        env=child_env,
+    )
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)
+    assert result["loaded"] == [False] * (1 + 3 * len(CORPUS))
+    assert result["code"] == 0
+    report = result["report"]
+    assert report["char_poly"] == [1, -2, 1, -1, -2]  # (x - 2)(x^3 + x + 1)
+    assert len(report["eigenvalues"]) == 4
+    for ev in report["eigenvalues"]:
+        assert 0 <= ev["modulus_hi"] - ev["modulus_lo"] < 1e-10
+    assert result["sympy_after"]
+
+
 def test_stdout_is_pure_json(run_cli, examples_dir):
     # diagnostics (including numba warnings) must never pollute stdout
     out = run_cli("analyze", str(examples_dir / "small_second_eigenvalue.sub"), "--json")

@@ -1,0 +1,176 @@
+"""Exact integer and rational algebra, checked against sympy as a reference."""
+
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from substrum.core import Alphabet, IntMatrix, Substitution, substitution_matrix
+from substrum.exactlin import (
+    char_poly_coeffs,
+    factor_integer_poly,
+    poly_gcd,
+    poly_gcdex,
+    poly_mul,
+    rational_inverse,
+    rational_nullspace,
+    rational_rank,
+    rational_solve,
+)
+
+X = sympy.Symbol("x")
+
+# irreducible over Z but split modulo every prime, so the factors modulo p
+# must be recombined
+SWINNERTON_DYER_2 = (1, 0, -10, 0, 1)
+SWINNERTON_DYER_3 = (1, 0, -40, 0, 352, 0, -960, 0, 576)
+
+
+def sympy_factors(coeffs):
+    content, factors = sympy.factor_list(sympy.Poly(list(coeffs), X))
+    assert content == 1
+    out = [(tuple(int(c) for c in f.all_coeffs()), int(e)) for f, e in factors]
+    return sorted(out, key=lambda fm: (len(fm[0]), fm[0]))
+
+
+def cyclotomic_product(n):
+    out = (1,)
+    for d in range(1, n + 1):
+        out = poly_mul(out, tuple(int(c) for c in sympy.Poly(sympy.cyclotomic_poly(d, X)).all_coeffs()))
+    return out
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        SWINNERTON_DYER_2,
+        SWINNERTON_DYER_3,
+        poly_mul(SWINNERTON_DYER_2, SWINNERTON_DYER_3),
+        cyclotomic_product(12),
+        poly_mul(poly_mul((1, -2), (1, -2)), poly_mul(poly_mul((1, -2), (1, -2)), (1, -2))),
+        (1, 0, 0, 0, 0, 0, 0, 0),
+        (1,),
+    ],
+    ids=["sd2", "sd3", "sd2_sd3", "cyclotomic_1_to_12", "x_minus_2_to_5", "x_to_7", "one"],
+)
+def test_factor_integer_poly_explicit(coeffs):
+    assert factor_integer_poly(coeffs) == sympy_factors(coeffs)
+
+
+monic = st.integers(1, 6).flatmap(
+    lambda d: st.tuples(st.just(1), *[st.integers(-20, 20)] * d)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(monic, st.integers(1, 3)), min_size=1, max_size=4))
+def test_factor_integer_poly_matches_sympy_on_products(parts):
+    coeffs = (1,)
+    for f, mult in parts:
+        for _ in range(mult):
+            coeffs = poly_mul(coeffs, f)
+    assert factor_integer_poly(coeffs) == sympy_factors(coeffs)
+
+
+@st.composite
+def substitution_matrices(draw):
+    m = draw(st.integers(1, 10))
+    q = draw(st.integers(1, 4))
+    images = draw(st.lists(
+        st.lists(st.integers(0, m - 1), min_size=q, max_size=q).map(tuple), min_size=m, max_size=m,
+    ))
+    z = Substitution(Alphabet(tuple(str(a) for a in range(m))), tuple(images))
+    return substitution_matrix(z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(substitution_matrices())
+def test_factor_integer_poly_matches_sympy_on_substitution_matrices(S):
+    coeffs = char_poly_coeffs(S)
+    assert factor_integer_poly(coeffs) == sympy_factors(coeffs)
+
+
+def test_factor_integer_poly_rejects_non_monic():
+    with pytest.raises(ValueError, match="monic"):
+        factor_integer_poly((2, 1))
+
+
+@st.composite
+def integer_matrices(draw):
+    n = draw(st.integers(1, 12))
+    rows = draw(st.lists(
+        st.lists(st.integers(-5, 5), min_size=n, max_size=n).map(tuple), min_size=n, max_size=n,
+    ))
+    return IntMatrix(tuple(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_matrices())
+def test_char_poly_matches_sympy(M):
+    expected = tuple(int(c) for c in sympy.Matrix(M.entries).charpoly(X).all_coeffs())
+    assert char_poly_coeffs(M) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(monic, st.lists(st.integers(-20, 20), min_size=1, max_size=7), st.integers(1, 3))
+def test_gcds_match_sympy(a, b, shared_power):
+    # a common factor a^k makes most gcds nonconstant
+    for _ in range(shared_power):
+        b = poly_mul(b, a)
+    A, B = sympy.Poly(list(a), X), sympy.Poly(list(b), X)
+    g = poly_gcd(a, b)
+    assert g == tuple(int(c) for c in sympy.gcd(A, B).monic().all_coeffs())
+    s, t, h = poly_gcdex(a, b)
+    assert h == g
+    S = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in s] or [0], X)
+    T = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in t] or [0], X)
+    assert (S * A + T * B).monic() == sympy.Poly(list(g), X, domain="QQ")
+
+
+def to_sympy(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+
+
+def from_sympy(v):
+    return tuple(Fraction(int(x.p), int(x.q)) for x in v)
+
+
+entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    n = draw(st.integers(1, 6))
+    cols = n if square else draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=n, max_size=n))
+    if n >= 2 and draw(st.booleans()):
+        # make the last row a combination of the others: singular when square
+        weights = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum(w * row[c] for w, row in zip(weights, rows)) for c in range(cols)]
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices())
+def test_nullspace_and_rank_match_sympy(rows):
+    M = to_sympy(rows)
+    assert rational_nullspace(rows) == [from_sympy(v) for v in M.nullspace()]
+    assert rational_rank(rows) == M.rank()
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices(square=True), st.data())
+def test_solve_and_inverse_match_sympy(rows, data):
+    n = len(rows)
+    b = data.draw(st.lists(entries, min_size=n, max_size=n))
+    M = to_sympy(rows)
+    if M.det() == 0:
+        with pytest.raises(ValueError, match="singular"):
+            rational_inverse(rows)
+        with pytest.raises(ValueError, match="singular"):
+            rational_solve(rows, b)
+        return
+    assert rational_inverse(rows) == tuple(from_sympy(M.inv().row(i)) for i in range(n))
+    assert rational_solve(rows, b) == from_sympy(M.solve(to_sympy([[x] for x in b])))

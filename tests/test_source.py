@@ -14,3 +14,21 @@ def test_package_has_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_package_does_not_import_sympy_at_module_level():
+    # sympy is only needed to isolate roots of factors of degree >= 3; a
+    # module-level import would load it on every CLI call
+    found = []
+    for path in sorted(Path(substrum.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "sympy" or m.startswith("sympy.") for m in modules):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
