@@ -9,8 +9,11 @@ Produces a three-valued verdict with an evidence trail:
   only change eigenvalues by zeros and roots of unity, and sqrt(q) is
   neither), optionally reinforced by a certified |theta_2| < sqrt(q);
 * Inconclusive -- a sqrt(q)-modulus eigenvalue is present (the criterion is
-  sufficient for singularity, not necessary, so nothing follows), or the
-  enclosures could not be certified, or a precondition failed.
+  sufficient for singularity, not necessary, so nothing follows), or a
+  precondition failed.
+
+Both eigenvalue decisions are exact, or rest on certified enclosures that
+are refined until they decide, so no verdict depends on a precision setting.
 
 Precondition failures keep the verdict three-valued: they are reported as
 reason "PreconditionFailed(<tag>)" under Inconclusive rather than as a
@@ -25,12 +28,7 @@ from typing import Optional
 
 from .coincidence import bijectivity_profile, ergodic_classes
 from .core import Substitution, constant_length, is_aperiodic_pansiot, is_primitive, substitution_matrix
-from .eigen import (
-    DEFAULT_PRECISION_BITS,
-    PrecisionError,
-    _has_modulus_sqrt_q,
-    _second_eigenvalue_below_sqrt_q,
-)
+from .eigen import _has_modulus_sqrt_q, _second_eigenvalue_below_sqrt_q
 from .exactlin import char_poly_coeffs, factor_integer_poly
 from .reduction import pure_base
 
@@ -46,11 +44,11 @@ class SpectralVerdict:
     """Classification outcome with its reasons and supporting evidence.
 
     reasons uses the fixed vocabulary DekkingCoincidence, NoSqrtQEigenvalue,
-    SecondEigenvalueSmall, SqrtQPresent, NumericallyAmbiguous, and
-    PreconditionFailed(<tag>).  evidence is a plain dict of domain objects
-    (see report for serialization); eigenvalue_group describes the group of
-    topological eigenvalues e(Z(q) x Z/hZ) by the pair (q, h), available
-    whenever the pipeline got far enough to compute the height.
+    SecondEigenvalueSmall, SqrtQPresent, and PreconditionFailed(<tag>).
+    evidence is a plain dict of domain objects (see report for
+    serialization); eigenvalue_group describes the group of topological
+    eigenvalues e(Z(q) x Z/hZ) by the pair (q, h), available whenever the
+    pipeline got far enough to compute the height.
     """
 
     verdict: str
@@ -73,7 +71,7 @@ def _failed(tag: str, detail: str, evidence: dict) -> SpectralVerdict:
     )
 
 
-def classify(z: Substitution, precision_bits: int = DEFAULT_PRECISION_BITS) -> SpectralVerdict:
+def classify(z: Substitution) -> SpectralVerdict:
     """Run the full pipeline on a substitution.
 
     Stages: constant length, primitivity, aperiodicity, height + pure base,
@@ -144,27 +142,10 @@ def classify(z: Substitution, precision_bits: int = DEFAULT_PRECISION_BITS) -> S
     # one characteristic polynomial and one factorization serve both tests
     coeffs = char_poly_coeffs(substitution_matrix(z))
     factors = factor_integer_poly(coeffs)
-    sqrt_q = _has_modulus_sqrt_q(coeffs, factors, q, precision_bits)
+    sqrt_q = _has_modulus_sqrt_q(coeffs, factors, q)
     evidence["sqrt_q"] = sqrt_q
 
-    if sqrt_q.present is False:
-        reasons = ["NoSqrtQEigenvalue"]
-        detail = "no eigenvalue of the substitution matrix has modulus sqrt(q), hence the spectrum is singular"
-        try:
-            if _second_eigenvalue_below_sqrt_q(factors, q, precision_bits):
-                reasons.append("SecondEigenvalueSmall")
-                detail += "; moreover the second-largest eigenvalue modulus is certified below sqrt(q)"
-        except PrecisionError:
-            pass
-        return SpectralVerdict(
-            verdict=SINGULAR,
-            reasons=tuple(reasons),
-            detail=detail,
-            evidence=evidence,
-            eigenvalue_group=group,
-        )
-
-    if sqrt_q.present is True:
+    if sqrt_q.present:
         return SpectralVerdict(
             verdict=INCONCLUSIVE,
             reasons=("SqrtQPresent",),
@@ -176,13 +157,15 @@ def classify(z: Substitution, precision_bits: int = DEFAULT_PRECISION_BITS) -> S
             eigenvalue_group=group,
         )
 
+    reasons = ["NoSqrtQEigenvalue"]
+    detail = "no eigenvalue of the substitution matrix has modulus sqrt(q), hence the spectrum is singular"
+    if _second_eigenvalue_below_sqrt_q(factors, q):
+        reasons.append("SecondEigenvalueSmall")
+        detail += "; moreover the second-largest eigenvalue modulus is certified below sqrt(q)"
     return SpectralVerdict(
-        verdict=INCONCLUSIVE,
-        reasons=("NumericallyAmbiguous",),
-        detail=(
-            f"modulus enclosures could not certify sqrt({q}) presence or absence "
-            f"at the precision budget; {SUFFICIENCY_NOTE}"
-        ),
+        verdict=SINGULAR,
+        reasons=tuple(reasons),
+        detail=detail,
         evidence=evidence,
         eigenvalue_group=group,
     )

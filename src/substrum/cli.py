@@ -25,8 +25,9 @@ from .core import (
     substitution_matrix,
 )
 from .corpus import write_corpus
-from .eigen import PrecisionError, eigenvalues, has_modulus_sqrt_q
+from .eigen import PrecisionError, _eigenvalue_classes, _has_modulus_sqrt_q
 from .estimator import DEFAULT_LAGS, DEFAULT_PREFIX, dimension_fit
+from .exactlin import char_poly_coeffs, factor_integer_poly
 from .reduction import pure_base
 from .report import (
     SCHEMA_VERSION,
@@ -100,20 +101,16 @@ def _parse_scales(text: str) -> list[int]:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _classify_kwargs(args) -> dict:
-    return {} if args.precision_bits is None else {"precision_bits": args.precision_bits}
-
-
 def _cmd_analyze(args) -> int:
     z = _load(args.path)
-    verdict = classify(z, **_classify_kwargs(args))
-    _emit(analysis_report(z, verdict, path=args.path, precision_bits=args.precision_bits), args)
+    verdict = classify(z)
+    _emit(analysis_report(z, verdict, path=args.path), args)
     return EXIT_PRECONDITION if verdict.precondition_failed() else EXIT_OK
 
 
 def _cmd_classify(args) -> int:
     z = _load(args.path)
-    verdict = classify(z, **_classify_kwargs(args))
+    verdict = classify(z)
     _emit(classify_report(z, verdict, path=args.path), args)
     return EXIT_PRECONDITION if verdict.precondition_failed() else EXIT_OK
 
@@ -151,11 +148,12 @@ def _cmd_purebase(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     z = _load(args.path)
-    S = substitution_matrix(z)
-    kwargs = {} if args.precision_bits is None else {"precision_bits": args.precision_bits}
-    records = eigenvalues(S, **kwargs)
+    # one characteristic polynomial and one factorization serve both
+    coeffs = char_poly_coeffs(substitution_matrix(z))
+    factors = factor_integer_poly(coeffs)
+    records = [r for cls in _eigenvalue_classes(factors) for r in cls]
     q = constant_length(z)
-    sqrt_q = None if q is None else has_modulus_sqrt_q(S, q, **kwargs)
+    sqrt_q = None if q is None else _has_modulus_sqrt_q(coeffs, factors, q)
     _emit(spectrum_report(z, records, sqrt_q, path=args.path), args)
     return EXIT_OK
 
@@ -220,12 +218,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="compact JSON report (default)")
     fmt.add_argument("--pretty", action="store_true", help="indented JSON report")
-    p.add_argument(
-        "--precision-bits",
-        type=int,
-        default=None,
-        help="starting precision for certified eigenvalue enclosures",
-    )
 
 
 def _add_estimator_flags(p: argparse.ArgumentParser) -> None:

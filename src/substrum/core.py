@@ -18,9 +18,8 @@ materializes an intermediate full image.
 from __future__ import annotations
 
 import hashlib
-import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -295,20 +294,18 @@ class PrimitivityResult:
     witness_n: Optional[int]  # least n with S^n > 0 entrywise, if primitive
 
 
-def is_primitive(z: Substitution, max_power: Optional[int] = None) -> PrimitivityResult:
+def is_primitive(z: Substitution) -> PrimitivityResult:
     """Test primitivity: some power of the substitution matrix is entrywise positive.
 
     Iterates clipped (0/1) matrix powers, so entries never overflow, and
-    returns the least witness exponent.  The default bound m^2 + 1 dominates
-    the Wielandt bound (m-1)^2 + 1 for primitive nonnegative matrices, so a
-    miss within the bound is a definitive "not primitive".
+    returns the least witness exponent.  The bound m^2 + 1 dominates the
+    Wielandt bound (m-1)^2 + 1 for primitive nonnegative matrices, so a miss
+    within the bound is a definitive "not primitive".
     """
     m = z.size
-    if max_power is None:
-        max_power = m * m + 1
     S = (substitution_matrix(z).to_numpy() > 0).astype(np.uint8)
     power = S.copy()
-    for n in range(1, max_power + 1):
+    for n in range(1, m * m + 2):
         if power.all():
             return PrimitivityResult(True, n)
         power = np.clip(power @ S, 0, 1)
@@ -490,8 +487,11 @@ def is_aperiodic_pansiot(z: Substitution) -> AperiodicityResult:
     return AperiodicityResult(False, "every letter has a single neighborhood; the fixed point is periodic")
 
 
-def power_substitution(z: Substitution, j: int, max_symbols: int = DEFAULT_MAX_SYMBOLS) -> Substitution:
-    """The substitution z^j (images are z applied j times to each letter)."""
+def power_substitution(z: Substitution, j: int) -> Substitution:
+    """The substitution z^j (images are z applied j times to each letter).
+
+    Raises ResourceBudgetError once an image exceeds DEFAULT_MAX_SYMBOLS.
+    """
     if j < 1:
         raise ValueError("power must be >= 1")
     if j == 1:
@@ -501,9 +501,9 @@ def power_substitution(z: Substitution, j: int, max_symbols: int = DEFAULT_MAX_S
         img = (a,)
         for _ in range(j):
             img = z.apply(img)
-            if len(img) > max_symbols:
+            if len(img) > DEFAULT_MAX_SYMBOLS:
                 raise ResourceBudgetError(
-                    f"image length exceeds symbol budget {max_symbols} at power {j}"
+                    f"image length exceeds symbol budget {DEFAULT_MAX_SYMBOLS} at power {j}"
                 )
         images.append(img)
     return Substitution(z.alphabet, tuple(images))

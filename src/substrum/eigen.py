@@ -12,12 +12,19 @@ so this module works exactly:
   rational enclosures of each root's modulus (rational and quadratic roots
   get closed forms; higher-degree factors use certified isolating
   rectangles);
-* the sqrt(q) test runs an exact gcd prefilter first — an eigenvalue with
-  |lambda|^2 = q forces lambda and q/lambda to be roots of the same
-  characteristic polynomial, so gcd(p(x), x^n p(q/x)) constant rules the
-  modulus out with no numerics at all — and decides the remaining candidate
-  roots exactly where closed forms exist, by certified enclosures otherwise,
-  escalating to an explicit "ambiguous" outcome rather than guessing;
+* the sqrt(q) test is exact at every factor degree.  A root with
+  |lambda|^2 = q has conj(lambda) = q/lambda, so it is +-sqrt(q) or a root
+  of a q-reciprocal factor F(x) = x^d T(x + q/x); the roots of such an F on
+  the circle |x|^2 = q are the pairs (s +- i sqrt(4q - s^2))/2 over the real
+  roots s of T with s^2 < 4q, which a Sturm chain counts with its signs
+  evaluated exactly in Q(sqrt(q)).  An exact gcd prefilter comes first:
+  lambda and q/lambda are roots of the same characteristic polynomial, so
+  gcd(p(x), x^n p(q/x)) constant rules the modulus out at once;
+* the |theta_2| < sqrt(q) test counts the roots of modulus at least
+  sqrt(q): exactly for q-reciprocal factors (one root of each off-circle
+  pair (x, q/x) lies outside), and for every other factor from certified
+  enclosures, refined until each clears sqrt(q), which it must, since no
+  root of such a factor lies on the circle;
 * generalized eigenprojections are exact rational idempotents obtained from
   Bezout identities between coprime factors of the characteristic
   polynomial.
@@ -40,12 +47,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from math import sqrt as _fsqrt
 from typing import Optional, Sequence
 
 from .core import IntMatrix
 from .exactlin import (
+    _derivative,
     char_poly_coeffs,
     factor_integer_poly,
     poly_at_int_matrix,
@@ -72,7 +80,8 @@ __all__ = [
     "j_pr_kappa",
 ]
 
-DEFAULT_PRECISION_BITS = 128
+# starting precision of root enclosures, doubled until they separate
+_PRECISION_BITS = 128
 _MAX_PRECISION_BITS = 4096
 
 
@@ -296,21 +305,19 @@ def _group_by_modulus(records: list[EigenvalueRecord], bits: int):
     return [tuple(cls) for cls in classes]
 
 
-def eigenvalue_classes(
-    M: IntMatrix, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> tuple[tuple[EigenvalueRecord, ...], ...]:
+def eigenvalue_classes(M: IntMatrix) -> tuple[tuple[EigenvalueRecord, ...], ...]:
     """Eigenvalues of M grouped into certified descending-modulus classes.
 
     Each class is a tuple of records sharing one modulus; consecutive classes
     have rigorously separated modulus enclosures.  Raises PrecisionError if
     separation cannot be certified at the maximum precision.
     """
-    return _eigenvalue_classes(factor_integer_poly(char_poly_coeffs(M)), precision_bits)
+    return _eigenvalue_classes(factor_integer_poly(char_poly_coeffs(M)))
 
 
-def _eigenvalue_classes(factors, precision_bits: int):
+def _eigenvalue_classes(factors):
     """eigenvalue_classes from the factorization [(factor, multiplicity), ...]."""
-    bits = precision_bits
+    bits = _PRECISION_BITS
     while True:
         records: list[EigenvalueRecord] = []
         for idx, (fac, mult) in enumerate(factors):
@@ -326,16 +333,14 @@ def _eigenvalue_classes(factors, precision_bits: int):
         bits *= 2
 
 
-def eigenvalues(
-    M: IntMatrix, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> tuple[EigenvalueRecord, ...]:
+def eigenvalues(M: IntMatrix) -> tuple[EigenvalueRecord, ...]:
     """All eigenvalues of M, sorted by certified descending modulus.
 
     Ties inside a modulus class are ordered by descending real part, then
     descending imaginary part.  Multiplicities are carried on the records;
     see `eigenvalue_multiset` for the flattened list.
     """
-    return tuple(r for cls in eigenvalue_classes(M, precision_bits) for r in cls)
+    return tuple(r for cls in eigenvalue_classes(M) for r in cls)
 
 
 def eigenvalue_multiset(records: Sequence[EigenvalueRecord]) -> list[EigenvalueRecord]:
@@ -352,16 +357,14 @@ def eigenvalue_multiset(records: Sequence[EigenvalueRecord]) -> list[EigenvalueR
 
 @dataclass(frozen=True)
 class SqrtQResult:
-    """Outcome of the |lambda| = sqrt(q) test.
+    """Outcome of the |lambda| = sqrt(q) test, which is always exact.
 
-    present is True/False when decided (always rigorously), None when some
-    candidate root's enclosure still straddles sqrt(q) at maximum precision.
+    witnesses are display values of the distinct roots of modulus sqrt(q),
+    factor by factor.
     """
 
-    present: Optional[bool]
+    present: bool
     witnesses: tuple[complex, ...]
-    witness_factors: tuple[tuple[int, ...], ...]
-    exact_witnesses: bool
     detail: str
 
 
@@ -374,26 +377,118 @@ def _reversal_poly(coeffs: Sequence[int], q: int) -> tuple[int, ...]:
     return tuple(rev)
 
 
-def has_modulus_sqrt_q(
-    M: IntMatrix, q: int, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> SqrtQResult:
-    """Decide whether M has an eigenvalue of absolute value exactly sqrt(q).
+def _trace_poly(fac: tuple[int, ...], q: int) -> Optional[tuple[int, ...]]:
+    """The monic T with fac(x) = x^d T(x + q/x), or None if there is none.
+
+    T exists exactly when fac has even degree 2d and is q-reciprocal,
+    x^{2d} fac(q/x) = q^d fac(x).  It is peeled off from the top: the
+    coefficient of x^{d+k} left over fixes the coefficient of s^k in T,
+    since x^{d-k} (x^2 + q)^k is monic of degree d + k.  A nonzero
+    remainder below x^d means fac is not q-reciprocal.
+    """
+    n = len(fac) - 1
+    if n % 2:
+        return None
+    d = n // 2
+    rem = list(fac)  # rem[i] is the coefficient of x^(n - i)
+    T = []
+    for k in range(d, -1, -1):
+        t = rem[d - k]
+        T.append(t)
+        for j in range(k + 1):
+            rem[d + k - 2 * j] -= t * comb(k, j) * q ** (k - j)
+    return None if any(rem) else tuple(T)
+
+
+def _sign_at(p: Sequence, v: Fraction, q: int) -> int:
+    """Sign of the polynomial p at v sqrt(q), from p(v sqrt(q)) = a + b sqrt(q)
+    by Horner's scheme in Q(sqrt(q)): a^2 against q b^2 when signs differ."""
+    a = b = 0
+    for c in p:
+        a, b = b * v * q + c, a * v
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa == sb or sb == 0:
+        return sa
+    if sa == 0:
+        return sb
+    gap = a * a - q * b * b
+    return sa if gap > 0 else sb if gap < 0 else 0
+
+
+def _band_roots(T: tuple[int, ...], q: int) -> list[float]:
+    """Display values of the real roots s of an irreducible T with s^2 < 4q.
+
+    Each gives a pair of roots (s +- i sqrt(4q - s^2))/2 of modulus sqrt(q)
+    of x^d T(x + q/x).  A linear T has the exact root -T[1].  Otherwise the
+    Sturm chain of T counts its roots in (a, b] by the sign variations at a
+    and b.  The band (-2 sqrt(q), 2 sqrt(q)) is bisected at points v sqrt(q)
+    with dyadic v, where every sign is exact, until each root is isolated,
+    and then until its interval is 2^-60 sqrt(q) wide.  T is irreducible and
+    fac is not x^2 - q, so T has no root at +-2 sqrt(q).
+    """
+    if len(T) == 2:
+        return [-T[1]] if T[1] * T[1] < 4 * q else []
+    chain = [T, _derivative(T)]
+    while rem := poly_divmod(chain[-2], chain[-1])[1]:
+        chain.append(tuple(-c for c in rem))
+
+    def variations(v):
+        signs = [sg for sg in (_sign_at(p, v, q) for p in chain) if sg]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    roots = []
+    pending = [(Fraction(-2), Fraction(2))]
+    while pending:
+        lo, hi = pending.pop()
+        count = variations(lo) - variations(hi)
+        if count > 1:
+            mid = (lo + hi) / 2
+            pending += [(mid, hi), (lo, mid)]
+        elif count == 1:
+            while hi - lo > Fraction(1, 2**60):
+                mid = (lo + hi) / 2
+                lo, hi = (lo, mid) if variations(lo) != variations(mid) else (mid, hi)
+            roots.append(float((lo + hi) / 2) * _fsqrt(q))
+    return roots
+
+
+def _circle_roots(fac: tuple[int, ...], q: int) -> tuple[complex, ...]:
+    """Display values of the roots of modulus sqrt(q) of a monic irreducible
+    integer polynomial, decided exactly.
+
+    conj(x) = q/x on the circle |x|^2 = q, and conj(x) is a root of fac
+    with x, so fac is x -+ sqrt(q) or x^2 - q (real roots), or
+    q-reciprocal (every other case); otherwise it has no root there.
+    """
+    if len(fac) == 2 and fac[1] * fac[1] == q:
+        return (complex(-fac[1]),)
+    if fac == (1, 0, -q):
+        return (complex(_fsqrt(q)), complex(-_fsqrt(q)))
+    T = _trace_poly(fac, q)
+    if T is None:
+        return ()
+    out = []
+    for s in _band_roots(T, q):
+        re, im = s / 2.0, _fsqrt(max(4 * q - s * s, 0)) / 2.0
+        out += [complex(re, im), complex(re, -im)]
+    return tuple(out)
+
+
+def has_modulus_sqrt_q(M: IntMatrix, q: int) -> SqrtQResult:
+    """Decide exactly whether M has an eigenvalue of absolute value sqrt(q).
 
     Exact prefilter: an eigenvalue lambda with |lambda|^2 = q satisfies
     conj(lambda) = q/lambda, and conj(lambda) is a root of the (real)
     characteristic polynomial p, so lambda is a common root of p(x) and the
     integer polynomial x^n p(q/x).  A constant gcd therefore excludes the
     modulus with no numerics.  Otherwise each irreducible factor of the gcd
-    is examined: rational roots and quadratics give exact decisions; roots
-    of higher-degree factors are compared to sqrt(q) through certified
-    modulus enclosures, refining precision and reporting an explicit
-    ambiguous outcome (present=None) if enclosures keep straddling.
+    is examined exactly (see `_circle_roots`).
     """
     coeffs = char_poly_coeffs(M)
-    return _has_modulus_sqrt_q(coeffs, factor_integer_poly(coeffs), q, precision_bits)
+    return _has_modulus_sqrt_q(coeffs, factor_integer_poly(coeffs), q)
 
 
-def _has_modulus_sqrt_q(coeffs, factors, q: int, bits: int) -> SqrtQResult:
+def _has_modulus_sqrt_q(coeffs, factors, q: int) -> SqrtQResult:
     """has_modulus_sqrt_q from char(M)'s coefficients and factorization.
 
     The irreducible factors of the gcd are the factors of char(M) that
@@ -401,125 +496,58 @@ def _has_modulus_sqrt_q(coeffs, factors, q: int, bits: int) -> SqrtQResult:
     """
     g = poly_gcd(coeffs, _reversal_poly(coeffs, q))
     if len(g) == 1:
-        return SqrtQResult(
-            present=False,
-            witnesses=(),
-            witness_factors=(),
-            exact_witnesses=True,
-            detail="gcd prefilter is constant: no (lambda, q/lambda) root pairs exist",
-        )
-
-    witnesses: list[complex] = []
-    witness_factors: list[tuple[int, ...]] = []
-    ambiguous: list[tuple[int, ...]] = []
-    qf = Fraction(q)
-    for fac, _mult in factors:
-        if poly_divmod(g, fac)[1]:
-            continue
-        deg = len(fac) - 1
-        if deg == 1:
-            r = Fraction(-fac[1])
-            if r * r == qf:
-                witnesses.append(complex(r))
-                witness_factors.append(fac)
-            continue
-        if deg == 2:
-            b, c = fac[1], fac[2]
-            D = b * b - 4 * c
-            if b == 0:
-                # roots +-sqrt(-c) if c < 0 (real), +-i sqrt(c) if c > 0;
-                # either way |root|^2 = |c|, an exact comparison
-                if Fraction(abs(c)) == qf:
-                    if c < 0:
-                        witnesses.extend([complex(_fsqrt(q)), complex(-_fsqrt(q))])
-                    else:
-                        witnesses.extend([complex(0.0, _fsqrt(q)), complex(0.0, -_fsqrt(q))])
-                    witness_factors.append(fac)
-                continue
-            if D < 0:
-                # complex pair with |root|^2 = c, exact comparison
-                if Fraction(c) == qf:
-                    re, im = -b / 2.0, _fsqrt(-D) / 2.0
-                    witnesses.extend([complex(re, im), complex(re, -im)])
-                    witness_factors.append(fac)
-                continue
-            # real quadratic irrationals with b != 0: |root| = sqrt(q) would
-            # force minimal polynomial x^2 - q, contradiction — never a hit
-            continue
-        # degree >= 3: certified enclosures against sqrt(q)
-        fac_bits = bits
-        while True:
-            undecided = False
-            for root in _roots_of_factor(fac, fac_bits):
-                lo, hi = root["modulus_lo"], root["modulus_hi"]
-                if hi * hi < qf or lo * lo > qf:
-                    continue
-                undecided = True
-            if not undecided or fac_bits >= _MAX_PRECISION_BITS:
-                break
-            fac_bits *= 2
-        if undecided:
-            ambiguous.append(fac)
-
-    if witnesses:
-        return SqrtQResult(
-            present=True,
-            witnesses=tuple(witnesses),
-            witness_factors=tuple(witness_factors),
-            exact_witnesses=True,
-            detail="exact factor analysis of the gcd prefilter",
-        )
-    if ambiguous:
-        return SqrtQResult(
-            present=None,
-            witnesses=(),
-            witness_factors=tuple(ambiguous),
-            exact_witnesses=False,
-            detail="candidate enclosures straddle sqrt(q) at maximum precision",
-        )
-    return SqrtQResult(
-        present=False,
-        witnesses=(),
-        witness_factors=(),
-        exact_witnesses=True,
-        detail="all candidate roots of the gcd prefilter excluded exactly",
+        return SqrtQResult(False, (), "gcd prefilter is constant: no (lambda, q/lambda) root pairs exist")
+    witnesses = tuple(
+        w for fac, _mult in factors if not poly_divmod(g, fac)[1] for w in _circle_roots(fac, q)
     )
+    if witnesses:
+        return SqrtQResult(True, witnesses, "exact factor analysis of the gcd prefilter")
+    return SqrtQResult(False, (), "all candidate roots of the gcd prefilter excluded exactly")
 
 
-def second_eigenvalue_below_sqrt_q(
-    M: IntMatrix, q: int, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> bool:
-    """True iff |theta_2| < sqrt(q), certified.
+def second_eigenvalue_below_sqrt_q(M: IntMatrix, q: int) -> bool:
+    """True iff |theta_2| < sqrt(q), decided exactly.
 
     theta_2 is the second entry of the descending-modulus eigenvalue multiset
-    (multiplicities counted).  Exact when |theta_2|^2 is known as a rational;
-    otherwise decided by enclosures, refining until one side certifies.
+    (multiplicities counted), so |theta_2| < sqrt(q) iff at most one root,
+    counted with multiplicity, has modulus at least sqrt(q).
     """
-    return _second_eigenvalue_below_sqrt_q(
-        factor_integer_poly(char_poly_coeffs(M)), q, precision_bits
-    )
+    return _second_eigenvalue_below_sqrt_q(factor_integer_poly(char_poly_coeffs(M)), q)
 
 
-def _second_eigenvalue_below_sqrt_q(factors, q: int, bits: int) -> bool:
-    """second_eigenvalue_below_sqrt_q from the factorization of char(M)."""
-    qf = Fraction(q)
-    while True:
-        classes = _eigenvalue_classes(factors, bits)
-        multiset = eigenvalue_multiset([r for cls in classes for r in cls])
-        if len(multiset) < 2:
-            return True
-        theta2 = multiset[1]
-        if theta2.modulus_sq_exact is not None:
-            return theta2.modulus_sq_exact < qf
-        if theta2.modulus_hi * theta2.modulus_hi < qf:
-            return True
-        if theta2.modulus_lo * theta2.modulus_lo > qf:
+def _second_eigenvalue_below_sqrt_q(factors, q: int) -> bool:
+    """second_eigenvalue_below_sqrt_q from the factorization of char(M).
+
+    A q-reciprocal factor of degree 2d with 2c roots on the circle has
+    exactly d + c roots of modulus >= sqrt(q): its other roots pair up as
+    (x, q/x).  Every other factor has |x|^2 = q only at x = +-sqrt(q),
+    where its modulus is exact, and is otherwise compared to sqrt(q) by
+    enclosures, at doubling precision while one straddles sqrt(q).
+    """
+    count = 0
+    for fac, mult in factors:
+        T = _trace_poly(fac, q)
+        if T is not None:
+            count += mult * (len(T) - 1 + len(_band_roots(T, q)))
+        else:
+            bits = _PRECISION_BITS
+            while None in (outside := [_outside_sqrt_q(r, q) for r in _roots_of_factor(fac, bits)]):
+                bits *= 2
+            count += mult * sum(outside)
+        if count > 1:
             return False
-        if bits >= _MAX_PRECISION_BITS:
-            raise PrecisionError(
-                "second-eigenvalue enclosure straddles sqrt(q) at maximum precision"
-            )
-        bits *= 2
+    return True
+
+
+def _outside_sqrt_q(root: dict, q: int) -> Optional[bool]:
+    """Whether |root|^2 >= q, or None while its enclosure straddles sqrt(q)."""
+    if root["modulus_sq_exact"] is not None:
+        return root["modulus_sq_exact"] >= q
+    if root["modulus_lo"] ** 2 > q:
+        return True
+    if root["modulus_hi"] ** 2 < q:
+        return False
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -620,9 +648,7 @@ class JPRKappa:
     kappa: int
 
 
-def j_pr_kappa(
-    M: IntMatrix, b: Sequence, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> JPRKappa:
+def j_pr_kappa(M: IntMatrix, b: Sequence) -> JPRKappa:
     """Exact elimination data (j, pr(b), kappa) for a nonzero rational vector b.
 
     Activity of an irreducible factor F is the exact rational test
@@ -638,7 +664,7 @@ def j_pr_kappa(
         raise ValueError("b must be nonzero")
     coeffs = char_poly_coeffs(M)
     factors = factor_integer_poly(coeffs)
-    classes = _eigenvalue_classes(factors, precision_bits)
+    classes = _eigenvalue_classes(factors)
     projectors = {p.factor: p for p in _factor_projectors(M, coeffs, factors)}
     proj_b = {fac: _apply_rational(p.matrix, bvec) for fac, p in projectors.items()}
     active = {fac: any(v != 0 for v in pb) for fac, pb in proj_b.items()}

@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 
 from .coincidence import ErgodicClassification, ergodic_classes
 from .core import Substitution, constant_length, substitution_matrix
-from .eigen import EigenvalueRecord, PrecisionError, char_poly, eigenvalue_multiset, eigenvalues
+from .eigen import EigenvalueRecord, PrecisionError, _eigenvalue_classes, eigenvalue_multiset
+from .exactlin import char_poly_coeffs, factor_integer_poly, poly_mul
 from .reduction import compute_height
 
 __all__ = [
@@ -94,15 +95,12 @@ def _classes_payload(cls: ErgodicClassification, z: Substitution) -> dict:
 
 
 def _sqrt_q_payload(res, q: int) -> dict:
-    if res.exact_witnesses and res.witnesses:
-        root = math.sqrt(q)
-        witnesses = [complex_quad(w, root, root) for w in res.witnesses]
-    else:
-        witnesses = [complex_quad(w) for w in res.witnesses]
+    # the test is exact, so every witness has modulus exactly sqrt(q)
+    root = math.sqrt(q)
     return {
         "present": res.present,
-        "witnesses": witnesses,
-        "exact_witnesses": res.exact_witnesses,
+        "witnesses": [complex_quad(w, root, root) for w in res.witnesses],
+        "exact_witnesses": True,
         "detail": res.detail,
     }
 
@@ -142,7 +140,6 @@ def analysis_report(
     z: Substitution,
     verdict,
     path: Optional[str] = None,
-    precision_bits: Optional[int] = None,
     estimator: Optional[dict] = None,
 ) -> dict:
     """Full static report: input echo, matrix, char poly, eigenvalues, height,
@@ -152,9 +149,9 @@ def analysis_report(
     S = substitution_matrix(z)
     ev = verdict.evidence
 
-    kwargs = {} if precision_bits is None else {"precision_bits": precision_bits}
+    coeffs = char_poly_coeffs(S)
     try:
-        eigen_records = eigenvalues(S, **kwargs)
+        eigen_records = [r for cls in _eigenvalue_classes(factor_integer_poly(coeffs)) for r in cls]
     except PrecisionError:
         eigen_records = None
 
@@ -171,7 +168,7 @@ def analysis_report(
         "schema_version": SCHEMA_VERSION,
         "input": substitution_payload(z, path),
         "matrix": [list(row) for row in S.entries],
-        "char_poly": list(char_poly(S).coeffs),
+        "char_poly": list(coeffs),
         "eigenvalues": None if eigen_records is None else _eigenvalue_payload(eigen_records),
         "height": height_payload,
         "pure_base": _pure_base_payload(ev["pure_base"]) if "pure_base" in ev else None,
@@ -201,22 +198,22 @@ def spectrum_report(
     path: Optional[str] = None,
 ) -> dict:
     """Eigenvalue-centric report: char poly, irreducible factors, certified
-    eigenvalue enclosures, and the modulus-sqrt(q) test."""
-    S = substitution_matrix(z)
-    factors: list[dict] = []
-    seen: set[tuple[int, ...]] = set()
-    for rec in records:
-        if rec.factor not in seen:
-            seen.add(rec.factor)
-            factors.append({"coeffs": list(rec.factor), "index": rec.factor_index})
-    factors.sort(key=lambda f: f["index"])
+    eigenvalue enclosures, and the modulus-sqrt(q) test.
+
+    The records carry every irreducible factor with its multiplicity, so the
+    characteristic polynomial is their product."""
+    factors = sorted({rec.factor_index: (rec.factor, rec.multiplicity) for rec in records}.items())
+    char = (1,)
+    for _index, (fac, mult) in factors:
+        for _ in range(mult):
+            char = poly_mul(char, fac)
     q = constant_length(z)
     return {
         "schema_version": SCHEMA_VERSION,
         "input": substitution_payload(z, path),
-        "matrix": [list(row) for row in S.entries],
-        "char_poly": list(char_poly(S).coeffs),
-        "factors": [f["coeffs"] for f in factors],
+        "matrix": [list(row) for row in substitution_matrix(z).entries],
+        "char_poly": list(char),
+        "factors": [list(fac) for _index, (fac, _mult) in factors],
         "eigenvalues": _eigenvalue_payload(records),
         "sqrt_q": None if sqrt_q_result is None or q is None else _sqrt_q_payload(sqrt_q_result, q),
     }

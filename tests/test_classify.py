@@ -9,10 +9,10 @@ import pytest
 
 from substrum.classify import classify
 from substrum.coincidence import bijectivity_profile
-from substrum.core import parse_substitution, power_substitution, substitution_matrix
+from substrum.core import parse_substitution, power_substitution, render_substitution, substitution_matrix
 from substrum.corpus import CORPUS, corpus_entry, load
 from substrum.eigen import char_poly, eigenvalues
-from substrum.report import analysis_report, spectrum_report
+from substrum.report import analysis_report, classify_report, spectrum_report
 
 APERIODIC = [e.name for e in CORPUS if e.name != "periodic"]
 
@@ -93,7 +93,7 @@ def test_evidence_complete_for_full_run():
     assert ev["k"] == 2
     assert ev["transitive_size"] == 8
     assert ev["sqrt_q"].present is True
-    assert ev["sqrt_q"].exact_witnesses
+    assert classify_report(load("rudin_shapiro"), verdict)["evidence"]["sqrt_q"]["exact_witnesses"] is True
 
 
 def test_inconclusive_states_sufficiency():
@@ -206,26 +206,55 @@ def test_second_eigenvalue_reason_matches_theta():
             assert below
 
 
-@pytest.mark.parametrize("name", ["thue_morse", "bijective_nonabelian", "rudin_shapiro"])
-def test_classify_factors_the_char_poly_once(name):
-    # the sqrt(q) test and the theta_2 test share one characteristic
-    # polynomial and one factorization
-    exactlin = importlib.import_module("substrum.exactlin")
-    counted = {
-        exactlin.char_poly_coeffs.__code__: "char_poly_coeffs",
-        exactlin.factor_integer_poly.__code__: "factor_integer_poly",
-    }
-    calls = {fn: 0 for fn in counted.values()}
+def count_calls(functions, run):
+    """{name: number of calls} of the given functions while run() executes."""
+    counted = {fn.__code__: fn.__name__ for fn in functions}
+    calls = {fn.__name__: 0 for fn in functions}
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in counted:
             calls[counted[frame.f_code]] += 1
 
-    z = load(name)
     sys.setprofile(profile)
     try:
-        verdict = classify(z)
+        run()
     finally:
         sys.setprofile(None)
-    assert verdict.verdict == corpus_entry(name).expected_verdict
+    return calls
+
+
+@pytest.mark.parametrize("name", ["thue_morse", "bijective_nonabelian", "rudin_shapiro"])
+def test_classify_factors_the_char_poly_once(name, tmp_path, capsys):
+    # the sqrt(q) test and the theta_2 test share one characteristic
+    # polynomial and one factorization; so do the eigenvalue listing and the
+    # sqrt(q) test of `spectrum`, and the listing and char poly of the
+    # analysis report
+    exactlin = importlib.import_module("substrum.exactlin")
+    cli = importlib.import_module("substrum.cli")
+    counted = (exactlin.char_poly_coeffs, exactlin.factor_integer_poly)
+    z = load(name)
+    verdicts = []
+    calls = count_calls(counted, lambda: verdicts.append(classify(z)))
+    assert verdicts[0].verdict == corpus_entry(name).expected_verdict
     assert calls == {"char_poly_coeffs": 1, "factor_integer_poly": 1}
+
+    path = tmp_path / f"{name}.sub"
+    path.write_text(render_substitution(z))
+    for command, once in (("spectrum", 1), ("analyze", 2)):
+        codes = []
+        calls = count_calls(counted, lambda: codes.append(cli.main([command, str(path)])))
+        assert codes == [0]
+        assert calls == {"char_poly_coeffs": once, "factor_integer_poly": once}, command
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["thue_morse", "bijective_nonabelian"])
+def test_verdicts_do_not_group_eigenvalues_by_modulus(name):
+    # the modulus classes order eigenvalues for display; both eigenvalue
+    # decisions are made without them
+    eigen = importlib.import_module("substrum.eigen")
+    counted = (eigen._eigenvalue_classes, eigen._group_by_modulus)
+    verdicts = []
+    calls = count_calls(counted, lambda: verdicts.append(classify(load(name))))
+    assert verdicts[0].reasons[0] == "NoSqrtQEigenvalue"
+    assert calls == {"_eigenvalue_classes": 0, "_group_by_modulus": 0}

@@ -281,3 +281,12 @@ def test_stdout_is_pure_json(run_cli, examples_dir):
 def test_no_arguments_exits_2(run_cli):
     out = run_cli()
     assert out.returncode == 2
+
+
+def test_precision_bits_flag_is_gone(run_cli, examples_dir):
+    # every eigenvalue decision is exact, so no precision can be asked for
+    out = run_cli("classify", str(examples_dir / "thue_morse.sub"), "--precision-bits", "64")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "usage:" in out.stderr
+    assert "--precision-bits" in out.stderr

@@ -2,8 +2,10 @@
 enclosures, the modulus-sqrt(q) test, and the projector calculus."""
 
 import math
+import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 import substrum.eigen as eigen_module
 from substrum.core import IntMatrix, parse_substitution, substitution_matrix
 from substrum.corpus import CORPUS, load
-from substrum.exactlin import char_poly_coeffs, factor_integer_poly
+from substrum.exactlin import char_poly_coeffs, factor_integer_poly, poly_mul
 from substrum.eigen import (
     char_poly,
     eigenvalue_multiset,
@@ -23,6 +25,7 @@ from substrum.eigen import (
     second_eigenvalue_below_sqrt_q,
 )
 from substrum.reduction import pure_base
+from substrum.report import spectrum_report
 
 ENCLOSURE = Fraction(1, 10**10)
 
@@ -107,7 +110,7 @@ def test_sqrt_q_present_real_pair():
     for name in ("rudin_shapiro", "modified_rudin_shapiro"):
         res = has_modulus_sqrt_q(S(name), 2)
         assert res.present is True
-        assert res.exact_witnesses
+        assert spectrum_report(load(name), eigenvalues(S(name)), res)["sqrt_q"]["exact_witnesses"] is True
         got = sorted(w.real for w in res.witnesses)
         assert got == pytest.approx([-math.sqrt(2), math.sqrt(2)], abs=1e-12)
         assert all(w.imag == 0 for w in res.witnesses)
@@ -129,6 +132,113 @@ def test_second_eigenvalue_bound():
     assert second_eigenvalue_below_sqrt_q(S("bijective_nonabelian"), 3) is False
     # |theta_2| = sqrt(2) is not *strictly* below sqrt(q)
     assert second_eigenvalue_below_sqrt_q(S("rudin_shapiro"), 2) is False
+    # eigenvalues 2 = sqrt(4) and 1: theta_2 = 1 is below sqrt(q), although
+    # an eigenvalue of modulus sqrt(q) is present
+    assert has_modulus_sqrt_q(IntMatrix(((2, 0), (0, 1))), 4).present is True
+    assert second_eigenvalue_below_sqrt_q(IntMatrix(((2, 0), (0, 1))), 4) is True
+    assert second_eigenvalue_below_sqrt_q(IntMatrix(((2, 0), (0, 2))), 4) is False
+
+
+# ---------------------------------------------------------------------------
+# Exact circle counts against a 90-digit mpmath reference
+# ---------------------------------------------------------------------------
+
+def companion(coeffs):
+    """Integer companion matrix of a monic polynomial (leading coefficient first)."""
+    n = len(coeffs) - 1
+    rows = [[0] * n for _ in range(n)]
+    for i in range(1, n):
+        rows[i][i - 1] = 1
+    for i in range(n):
+        rows[i][n - 1] = -coeffs[n - i]
+    M = IntMatrix(tuple(tuple(row) for row in rows))
+    assert char_poly_coeffs(M) == tuple(coeffs)
+    return M
+
+
+def reference_roots(coeffs):
+    """(root, multiplicity) for every root of a monic integer polynomial, each
+    irreducible factor solved by mpmath at 90 digits."""
+    out = []
+    with mpmath.workdps(90):
+        for fac, mult in factor_integer_poly(coeffs):
+            out += [(r, mult) for r in mpmath.polyroots(fac, maxsteps=500, extraprec=300)]
+    return out
+
+
+def reference_sqrt_q_facts(coeffs, q):
+    """(distinct roots of modulus sqrt(q), |theta_2| < sqrt(q)) by the reference."""
+    with mpmath.workdps(90):
+        roots = reference_roots(coeffs)
+        gaps = [(abs(r) ** 2 - q, r, mult) for r, mult in roots]
+        on = [complex(r) for gap, r, _mult in gaps if abs(gap) < mpmath.mpf(10) ** -60]
+        at_least = sum(mult for gap, _r, mult in gaps if gap > -(mpmath.mpf(10) ** -60))
+    return on, at_least <= 1
+
+
+def assert_matches_reference(coeffs, q):
+    M = companion(coeffs)
+    res = has_modulus_sqrt_q(M, q)
+    on, below = reference_sqrt_q_facts(coeffs, q)
+    assert res.present is bool(on)
+    assert len(res.witnesses) == len(on)
+    for w in res.witnesses:
+        assert min(abs(w - r) for r in on) < 1e-9
+    assert second_eigenvalue_below_sqrt_q(M, q) is below
+    return res
+
+
+@st.composite
+def q_reciprocal_products(draw):
+    """(x^d T(x + q/x)) * C(x) for a random monic T of degree <= 3 and a
+    random monic cofactor C of degree <= 2."""
+    q = draw(st.integers(2, 5))
+    coef = st.integers(-6, 6)
+    T = [1] + [draw(coef) for _ in range(draw(st.integers(1, 3)))]
+    d = len(T) - 1
+    F = (0,) * (2 * d + 1)
+    for k, t in enumerate(T):  # t multiplies s^(d - k)
+        term = (1,)
+        for _ in range(d - k):
+            term = poly_mul(term, (1, 0, q))
+        term = term + (0,) * k  # times x^k = x^d / x^(d - k)
+        F = tuple(a + t * b for a, b in zip(F, (0,) * (len(F) - len(term)) + term))
+    C = [1] + [draw(st.integers(-4, 4)) for _ in range(draw(st.integers(0, 2)))]
+    return poly_mul(F, C), q
+
+
+@settings(max_examples=60, deadline=None)
+@given(q_reciprocal_products())
+def test_circle_counts_match_reference(case):
+    coeffs, q = case
+    assert_matches_reference(coeffs, q)
+
+
+@pytest.mark.parametrize(
+    "coeffs, witnesses",
+    [
+        # x + 2/x = (-1 +- sqrt(5))/2: both in the band, all four roots on the circle
+        ((1, 1, 3, 2, 4), 4),
+        # x + 2/x = 1 +- sqrt(7): only 1 - sqrt(7) is in the band
+        ((1, -2, -2, -4, 4), 2),
+        # (x - 1)(x - 2): the gcd prefilter keeps both, neither is on the circle
+        ((1, -3, 2), 0),
+    ],
+)
+def test_sqrt_q_decided_exactly_at_q_2(coeffs, witnesses):
+    t0 = time.perf_counter()
+    res = assert_matches_reference(coeffs, 2)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(res.witnesses) == witnesses
+    if not witnesses:
+        assert res.present is False
+        assert res.detail == "all candidate roots of the gcd prefilter excluded exactly"
+
+
+def test_second_eigenvalue_with_a_quartic_on_the_circle():
+    t0 = time.perf_counter()
+    assert second_eigenvalue_below_sqrt_q(companion(poly_mul((1, -2), (1, 1, 3, 2, 4))), 2) is False
+    assert time.perf_counter() - t0 < 1.0
 
 
 # ---------------------------------------------------------------------------
