@@ -130,7 +130,7 @@ class Substitution:
         return tuple(out)
 
     def hash_key(self) -> str:
-        """Stable content hash (hex) of the substitution, used as a cache key."""
+        """Stable content hash (hex) of the substitution: the report's `input.hash`."""
         canon = "\n".join(
             self.alphabet.token(a) + " -> " + " ".join(self.alphabet.token(b) for b in img)
             for a, img in enumerate(self.images)

@@ -12,14 +12,24 @@ Reading a vector v in F as the m x m matrix W(a,b) = v_(a,b) singles out
 the convex set Q = {v in F : W Hermitian PSD, unit diagonal}.  Q is compact
 with exactly k extreme points, one of which is the all-ones vector, and the
 extreme points generate the decomposition of the maximal spectral type into
-mutually singular pieces.  The extreme points are computed exactly when the
-associated matrices commute (they do on every bijective example shipped
-with this package): a common eigenbasis turns positive semidefiniteness
-into finitely many affine inequalities in the chart, Q becomes an explicit
-simplex, and its vertices are solved from (k-1)-subsets of active
-constraints in rational arithmetic.  A numeric ray-shooting fallback exists
-for the non-commuting case and is flagged as such; no classification
-verdict ever depends on it.
+mutually singular pieces.  The extreme points are only ever computed
+exactly, in rational arithmetic:
+
+- k = 2: Q is a segment in the one free chart coordinate t, with
+  W(t) = W_0 + t W_1 = J + (t - 1) W_1 (J the all-ones matrix).  One end is
+  the all-ones point t = 1, the other is t* = 1 - 1/c from one linear
+  solve.  Each end is certified: W(t) is PSD by symmetric elimination, and
+  a rational null vector of W(t) makes W indefinite just past t, so by
+  convexity Q is exactly the segment between them.  Whether the W matrices
+  commute does not matter.
+- k >= 3: when the associated matrices have a rational common eigenbasis
+  (they do on every bijective example shipped with this package),
+  positive semidefiniteness becomes finitely many affine inequalities in
+  the chart, Q is an explicit simplex, and its vertices are solved from
+  (k-1)-subsets of active constraints.  Without such a basis the answer is
+  "unsupported", with no points.
+
+No classification verdict depends on any of this.
 
 Each extreme point's W factors through its eigendecomposition into
 cylindrical functions: W = sum_j kappa_j d_j d_j^* gives lambda =
@@ -41,10 +51,10 @@ import numpy as np
 from .coincidence import ErgodicClassification, PairAlphabet, coincidence_matrix, ergodic_classes
 from .core import IntMatrix, Substitution, constant_length, substitution_matrix
 from .exactlin import (
+    _rref,
     char_poly_coeffs,
     factor_integer_poly,
     rational_inverse,
-    rational_matmul,
     rational_nullspace,
     rational_rank,
     rational_solve,
@@ -60,8 +70,6 @@ __all__ = [
     "extreme_points_Q",
     "decompose_lambda",
 ]
-
-Number = Union[Fraction, float, complex]
 
 
 def letter_frequencies(z: Substitution) -> tuple[Fraction, ...]:
@@ -99,26 +107,19 @@ class ClassVector:
 
     class_values[i] is the value on ergodic class E_i; pair_values is the
     full induced vector on A x A in row-major pair order, including the
-    determined values on transitive pairs.  Entries are Fractions on the
-    exact path, floats when produced by the numeric fallback.
+    determined values on transitive pairs.  Entries are Fractions.
     """
 
-    class_values: tuple[Number, ...]
-    pair_values: tuple[Number, ...]
+    class_values: tuple[Fraction, ...]
+    pair_values: tuple[Fraction, ...]
     m: int
 
     def W(self) -> np.ndarray:
         """The associated m x m matrix W(a,b) = v_(a,b), as complex floats."""
-        return np.array(
-            [
-                [complex(self.pair_values[a * self.m + b]) for b in range(self.m)]
-                for a in range(self.m)
-            ]
-        )
+        return np.array(self.W_exact(), dtype=complex)
 
     def W_exact(self) -> tuple[tuple[Fraction, ...], ...]:
-        if not all(isinstance(x, Fraction) for x in self.pair_values):
-            raise TypeError("W_exact needs exact (Fraction) pair values")
+        """The associated m x m matrix W(a,b) = v_(a,b), in Fractions."""
         return tuple(
             tuple(self.pair_values[a * self.m + b] for b in range(self.m))
             for a in range(self.m)
@@ -201,26 +202,30 @@ def _check_in_F(Ct: IntMatrix, q: int, v: Sequence[Fraction]) -> None:
             raise RuntimeError("vector must lie in the q-eigenspace of C^t")
 
 
-def chart_vector(basis: Sequence[ClassVector], w: Sequence[Number]) -> ClassVector:
-    """The element of F with class values w, as a combination of the chart basis."""
+def chart_vector(basis: Sequence[ClassVector], w: Sequence[Fraction]) -> ClassVector:
+    """The element of F with class values w, as a combination of the chart basis.
+
+    The class values are read as Fractions (ints and floats convert exactly)."""
     if len(w) != len(basis):
         raise ValueError(f"need one class value per basis vector ({len(basis)}), got {len(w)}")
+    w = tuple(Fraction(x) for x in w)
     n = len(basis[0].pair_values)
     pair_values = tuple(
         sum(wi * b.pair_values[t] for wi, b in zip(w, basis)) for t in range(n)
     )
-    return ClassVector(class_values=tuple(w), pair_values=pair_values, m=basis[0].m)
+    return ClassVector(class_values=w, pair_values=pair_values, m=basis[0].m)
 
 
 @dataclass(frozen=True)
 class ExtremePoints:
-    """The k extreme points of Q, with the method that produced them.
+    """The extreme points of Q, with the method that produced them.
 
-    method is "exact" (commuting associated matrices, simplex vertices in
-    rational arithmetic), "numeric" (ray-shooting fallback, coordinates
-    reliable to ~1e-8), or "numeric-partial" (fallback could not isolate
-    exactly k vertices; points contains what was found, always including
-    the all-ones vector)."""
+    method is "exact" or "unsupported".  An exact result has exactly k
+    points in rational arithmetic, the all-ones point first: for k = 2 the
+    two certified ends of the segment Q, for k >= 3 the vertices of the
+    simplex Q from a rational common eigenbasis of the associated matrices.
+    "unsupported" (k >= 3 without such a basis) has no points; detail says
+    why."""
 
     points: tuple[ClassVector, ...]
     method: str
@@ -231,38 +236,111 @@ def extreme_points_Q(z: Substitution) -> ExtremePoints:
     """Extreme points of Q = {v in F : W(v) PSD, v_aa = 1}.
 
     The diagonal pairs form E_0, so the unit-diagonal constraint pins the
-    chart coordinate w_0 = 1 and Q lives in the remaining k-1 coordinates.
-    When the associated matrices of the chart basis commute pairwise
-    (verified exactly), a rational common eigenbasis turns PSD into affine
-    inequalities and Q is a simplex whose vertices are solved exactly.
+    chart coordinate w_0 = 1 and Q lives in the remaining k-1 coordinates:
+    a certified segment for k = 2, a simplex from a rational common
+    eigenbasis for k >= 3, and "unsupported" when k >= 3 has no such basis.
+    Raises RuntimeError when an exact result does not have exactly k
+    points including the all-ones point.
     """
     classification = ergodic_classes(z)
     basis = eigenspace_F(z, classification)
     k = len(basis)
-    if k == 1:
-        return ExtremePoints(points=(basis[0],), method="exact", detail="Q is a single point")
-
     Ws = [b.W_exact() for b in basis]
-    commuting = all(
-        rational_matmul(Ws[i], Ws[j]) == rational_matmul(Ws[j], Ws[i])
-        for i in range(k)
-        for j in range(i + 1, k)
-    )
-    if commuting:
+    if k == 1:
+        result = ExtremePoints(points=(basis[0],), method="exact", detail="Q is a single point")
+    elif k == 2:
+        result = _extreme_points_segment(basis, Ws)
+    else:
         result = _extreme_points_exact(basis, Ws)
-        if result is not None:
-            return result
-    return _extreme_points_numeric(basis, commuting)
+        if result is None:
+            return ExtremePoints(
+                points=(),
+                method="unsupported",
+                detail="k >= 3 and the associated matrices have no rational common eigenbasis",
+            )
+    values = [p.class_values for p in result.points]
+    if len(values) != k or (Fraction(1),) * k not in values:
+        raise RuntimeError(f"Q must have exactly k = {k} extreme points, one of them all-ones; got {values}")
+    return result
+
+
+def _form(W, x, y) -> Fraction:
+    """The bilinear form x^T W y."""
+    return sum(xi * sum(w * yj for w, yj in zip(row, y)) for xi, row in zip(x, W))
+
+
+def _negative_direction(M) -> Optional[tuple[Fraction, ...]]:
+    """A rational x with x^T M x < 0 for a symmetric rational M, or None if M is PSD.
+
+    Symmetric elimination: a positive pivot is eliminated through its Schur
+    complement, whose witness y lifts to (-M[0,1:].y / M[0,0], y); a zero
+    pivot with a nonzero entry M[0,j] makes M indefinite.
+    """
+    n = len(M)
+    if n == 0:
+        return None
+    zero = (Fraction(0),) * (n - 1)
+    a = M[0][0]
+    if a < 0:
+        return (Fraction(1),) + zero
+    if a == 0:
+        j = next((j for j in range(1, n) if M[0][j] != 0), None)
+        if j is None:
+            y = _negative_direction([row[1:] for row in M[1:]])
+            return None if y is None else (Fraction(0),) + y
+        # x = s e_0 + e_j has x^T M x = 2 s M[0][j] + M[j][j] = -1
+        return (-(M[j][j] + 1) / (2 * M[0][j]),) + zero[: j - 1] + (Fraction(1),) + zero[j:]
+    y = _negative_direction([[M[i][j] - M[i][0] * M[0][j] / a for j in range(1, n)] for i in range(1, n)])
+    if y is None:
+        return None
+    return (-sum(M[0][j] * yj for j, yj in zip(range(1, n), y)) / a,) + y
+
+
+def _extreme_points_segment(basis, Ws) -> ExtremePoints:
+    """Q for k = 2: the segment of t with W(t) = W_0 + t W_1 PSD, both ends certified.
+
+    W(1) = J; at the other end t* a null vector x of W(t*) = J + (t* - 1) W_1
+    with 1^T x = 1 solves W_1 x + lambda 1 = 0, and then t* = 1 - 1/c for
+    c = x^T W_1 x.
+    """
+    W0, W1 = Ws
+    if W0 != tuple(zip(*W0)) or W1 != tuple(zip(*W1)):
+        raise RuntimeError("W_0 and W_1 must be symmetric")
+    m = len(W1)
+    R, pivots = _rref([list(row) + [1, 0] for row in W1] + [[1] * m + [0, 1]])
+    if m + 1 in pivots:
+        raise RuntimeError("W_1 x + lambda 1 = 0, 1^T x = 1 has no solution")
+    x = [Fraction(0)] * (m + 1)
+    for row, col in zip(R, pivots):
+        x[col] = row[m + 1]
+    c = _form(W1, x[:m], x[:m])
+    if c == 0:
+        raise RuntimeError("x^T W_1 x = 0: Q has no second end")
+    ends = (Fraction(1), 1 - 1 / c)
+    for t, other in (ends, ends[::-1]):
+        Wt = [[a + t * b for a, b in zip(r0, r1)] for r0, r1 in zip(W0, W1)]
+        if _negative_direction(Wt) is not None:
+            raise RuntimeError(f"W({t}) is not PSD")
+        # a null vector x of W(t) with (t - other) x^T W_1 x < 0 makes W indefinite past t
+        null = rational_nullspace(Wt)
+        if _negative_direction([[(t - other) * _form(W1, u, v) for v in null] for u in null]) is None:
+            raise RuntimeError(f"W stays PSD just past t = {t}")
+    return ExtremePoints(
+        points=tuple(chart_vector(basis, (1, t)) for t in ends),
+        method="exact",
+        detail="k = 2: the segment between two ends certified in rational arithmetic",
+    )
 
 
 def _common_eigenvectors(Ws: list) -> Optional[list[tuple[Fraction, ...]]]:
-    """A rational basis of common eigenvectors of the commuting family, or None.
+    """A rational basis of common eigenvectors of the family, or None.
 
     The eigenvalues of a generic combination G are read off the linear
     factors of the characteristic polynomial of the integer matrix D*G (D the
     common denominator of G), and its eigenvectors are the nullspaces of
     D*G - r I.  A factor of degree > 1 means an irrational eigenvalue, so no
-    rational common eigenbasis exists.
+    rational common eigenbasis exists.  Every W is checked to act diagonally
+    on the basis, so a family that does not commute also gives None.
     """
     m = len(Ws[0])
     for weights in ((3, 9, 27), (5, 25, 125), (7, 11, 13)):
@@ -305,6 +383,7 @@ def _common_eigenvectors(Ws: list) -> Optional[list[tuple[Fraction, ...]]]:
 
 
 def _extreme_points_exact(basis, Ws) -> Optional[ExtremePoints]:
+    """The vertices of the simplex Q, or None without a rational common eigenbasis."""
     k = len(basis)
     m = len(Ws[0])
     vecs = _common_eigenvectors(Ws)
@@ -342,82 +421,12 @@ def _extreme_points_exact(basis, Ws) -> Optional[ExtremePoints]:
             if full not in vertices:
                 vertices.append(full)
     ones = tuple(Fraction(1) for _ in range(k))
-    if len(vertices) != k or ones not in vertices:
-        return None
     vertices.sort(key=lambda w: (w != ones, w))
     points = tuple(chart_vector(basis, w) for w in vertices)
     return ExtremePoints(
         points=points,
         method="exact",
         detail="commuting associated matrices; simplex vertices in rational arithmetic",
-    )
-
-
-def _extreme_points_numeric(basis, commuting: bool) -> ExtremePoints:
-    """Ray-shooting fallback: sample PSD-boundary points from an interior
-    center and cluster by nullity; flagged, never exact."""
-    k = len(basis)
-    dim = k - 1
-    Wmats = [b.W() for b in basis]
-
-    def Wof(w1):
-        return Wmats[0] + sum(float(x) * M for x, M in zip(w1, Wmats[1:]))
-
-    def min_eig(w1):
-        return float(np.linalg.eigvalsh((Wof(w1) + Wof(w1).conj().T) / 2)[0])
-
-    ones = np.ones(dim)
-    candidates = [np.zeros(dim), 0.5 * ones, 0.9 * ones]
-    center = max(candidates, key=min_eig)
-    if min_eig(center) <= 1e-12:
-        pts = (chart_vector(basis, (1.0,) + tuple(ones)),)
-        return ExtremePoints(
-            points=pts,
-            method="numeric-partial",
-            detail="no strictly interior chart point found; returning the all-ones point",
-        )
-    rng = np.random.default_rng(20240817)
-    dirs = [np.eye(dim)[i] * s for i in range(dim) for s in (+1.0, -1.0)]
-    dirs += list(rng.standard_normal((16 * dim, dim)))
-    boundary = []
-    for d in dirs:
-        nd = np.linalg.norm(d)
-        if nd < 1e-12:
-            continue
-        d = d / nd
-        lo, hi = 0.0, 1.0
-        while min_eig(center + hi * d) > 0 and hi < 1e6:
-            hi *= 2
-        if hi >= 1e6:
-            continue
-        for _ in range(60):  # bisection to ~1e-10 of the boundary
-            mid = (lo + hi) / 2
-            if min_eig(center + mid * d) > 0:
-                lo = mid
-            else:
-                hi = mid
-        p = center + hi * d
-        nullity = int(np.sum(np.linalg.eigvalsh(Wof(p)) < 1e-7))
-        boundary.append((nullity, p))
-    max_null = max((n for n, _ in boundary), default=0)
-    clusters: list[np.ndarray] = []
-    for n, p in boundary:
-        if n < max_null:
-            continue
-        if all(np.linalg.norm(p - c) > 1e-6 for c in clusters):
-            clusters.append(p)
-    pts = [tuple([1.0] + list(map(float, p))) for p in clusters]
-    ones_pt = tuple([1.0] * k)
-    if all(np.linalg.norm(np.array(p) - np.array(ones_pt)) > 1e-6 for p in pts):
-        pts.append(ones_pt)
-    method = "numeric" if len(pts) == k else "numeric-partial"
-    detail = (
-        "associated matrices do not commute; ray-shooting fallback"
-        if not commuting
-        else "rational common eigenbasis unavailable; ray-shooting fallback"
-    )
-    return ExtremePoints(
-        points=tuple(chart_vector(basis, p) for p in pts), method=method, detail=detail
     )
 
 
@@ -441,15 +450,16 @@ def decompose_lambda(
 ) -> CylindricalDecomposition:
     """Cylindrical decomposition of the spectral measure of an extreme point.
 
-    Diagonalizes W(v) (Hermitian; eigenvalues clamped at 0 below a -1e-12
+    Diagonalizes W(v) (checked symmetric exactly; eigenvalues clamped at 0 below a -1e-12
     tolerance, anything lower raises), keeps the strictly positive
     eigenvalues, and returns the cylindrical generators.  For every point
     except all-ones, each generator is checked to be orthogonal to constants
     in L^2(mu) within 1e-10 — this is what guarantees sigma_{f_j}({0}) = 0.
     """
+    Wx = v.W_exact()
+    if Wx != tuple(zip(*Wx)):
+        raise ValueError("associated matrix is not symmetric")
     W = v.W()
-    if not np.allclose(W, W.conj().T, atol=1e-12):
-        raise ValueError("associated matrix is not Hermitian")
     vals, vecs = np.linalg.eigh(W)
     if vals[0] < -1e-12:
         raise ValueError(f"associated matrix is not PSD: min eigenvalue {vals[0]:.3e}")

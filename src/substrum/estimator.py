@@ -72,7 +72,6 @@ class PairCorrelations:
     the unit of computation.
     """
 
-    subst_hash: str
     K: int
     L: int
     tokens: tuple[str, ...]
@@ -94,10 +93,8 @@ class PairCorrelations:
 class CorrelationTable:
     """sigma_hat(k) for one function: a letter pair or a cylindrical vector."""
 
-    subst_hash: str
     K: int
     L: int
-    descriptor: tuple
     sigma: np.ndarray  # complex128, shape (K+1,)
 
     def __post_init__(self):
@@ -219,7 +216,7 @@ def pair_correlations(z: Substitution, K: int = DEFAULT_LAGS, L: int = DEFAULT_P
     counts = _lag_counts(z, L, K)
     # public convention puts the lead letter first: sigma_ab(k) = N[k,b,a]/L
     sigma = np.swapaxes(counts, 1, 2) / L
-    return PairCorrelations(z.hash_key(), K, L, z.alphabet.letters, sigma)
+    return PairCorrelations(K, L, z.alphabet.letters, sigma)
 
 
 def _coefficient_vector(z: Substitution, f) -> np.ndarray:
@@ -250,12 +247,10 @@ def correlations(
         a = z.alphabet.index(f_or_pair[0])
         b = z.alphabet.index(f_or_pair[1])
         sigma = table.pair(a, b).astype(np.complex128)
-        descriptor = ("pair", f_or_pair[0], f_or_pair[1])
     else:
         vec = _coefficient_vector(z, f_or_pair)
         sigma = np.einsum("a,b,kab->k", vec, np.conj(vec), table.sigma)
-        descriptor = ("cylindrical", tuple(complex(x) for x in vec))
-    return CorrelationTable(table.subst_hash, K, L, descriptor, sigma)
+    return CorrelationTable(K, L, sigma)
 
 
 def renormalization_check(

@@ -39,7 +39,6 @@ __all__ = [
     "rational_rank",
     "rational_solve",
     "rational_inverse",
-    "rational_matmul",
     "sqrt_interval",
 ]
 
@@ -563,15 +562,6 @@ def rational_inverse(A) -> tuple[tuple[Fraction, ...], ...]:
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(row[n:]) for row in R)
-
-
-def rational_matmul(A, B):
-    """Exact product of two rational matrices (nested Fraction sequences)."""
-    Bt = list(zip(*B))
-    return tuple(
-        tuple(sum(Fraction(a) * Fraction(b) for a, b in zip(row, col)) for col in Bt)
-        for row in A
-    )
 
 
 def sqrt_interval(value: Fraction, bits: int) -> tuple[Fraction, Fraction]:

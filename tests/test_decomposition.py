@@ -1,19 +1,25 @@
 """Letter frequencies, the q-eigenspace chart, extreme points of Q, and the
 cylindrical decomposition of spectral measures."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from substrum.coincidence import ergodic_classes
+from substrum.core import is_aperiodic_pansiot, is_primitive, parse_substitution
 from substrum.corpus import load
 from substrum.decomposition import (
+    _extreme_points_exact,
+    _negative_direction,
     decompose_lambda,
     eigenspace_F,
     extreme_points_Q,
     letter_frequencies,
 )
+from substrum.reduction import compute_height
 
 
 def test_letter_frequencies_exact():
@@ -67,6 +73,128 @@ def test_extreme_points_contain_all_ones():
     for name in ("thue_morse", "rudin_shapiro", "modified_rudin_shapiro"):
         ep = extreme_points_Q(load(name))
         assert any(all(x == 1 for x in p.class_values) for p in ep.points)
+
+
+def chart_points(ep):
+    return {tuple(p.class_values) for p in ep.points}
+
+
+def test_extreme_points_height_two_exact():
+    # W(t) = W_0 + t W_1 has the quadratic form s1^2 + s2^2 + 2t s1 s2 on the
+    # two block sums, so Q is the segment t in [-1, 1]
+    ep = extreme_points_Q(load("height_two"))
+    assert ep.method == "exact"
+    assert chart_points(ep) == {(1, 1), (1, -1)}
+
+
+@pytest.mark.parametrize(
+    "rules",
+    [
+        "0 -> 2 1\n1 -> 2 0\n2 -> 1 2",
+        "0 -> 1 0 0\n1 -> 0 2 2\n2 -> 0 2 1",
+    ],
+)
+def test_extreme_points_k2_without_common_eigenbasis(rules):
+    z = parse_substitution(rules)
+    assert ergodic_classes(z).k == 2
+    ep = extreme_points_Q(z)
+    assert ep.method == "exact"
+    assert [tuple(p.class_values) for p in ep.points] == [(1, 1), (1, -1)]
+
+
+@pytest.mark.parametrize(
+    "rules, k",
+    [
+        ("0 -> 1 0\n1 -> 2 1\n2 -> 0 2", 3),
+        ("0 -> 1 0\n1 -> 2 1\n2 -> 3 2\n3 -> 0 3", 4),
+    ],
+)
+def test_extreme_points_unsupported_without_rational_eigenbasis(rules, k):
+    z = parse_substitution(rules)
+    assert ergodic_classes(z).k == k
+    ep = extreme_points_Q(z)
+    assert ep.method == "unsupported"
+    assert ep.points == ()
+
+
+def _random_height_one(rng, draws):
+    """Seeded primitive, aperiodic, height-1 substitutions with m <= 4, q <= 3,
+    half of the draws column-bijective."""
+    for _ in range(draws):
+        m, q = rng.randint(2, 4), rng.randint(2, 3)
+        if rng.random() < 0.5:
+            cols = [rng.sample(range(m), m) for _ in range(q)]
+            images = [[col[a] for col in cols] for a in range(m)]
+        else:
+            images = [[rng.randrange(m) for _ in range(q)] for _ in range(m)]
+        z = parse_substitution("\n".join(f"{a} -> " + " ".join(map(str, img)) for a, img in enumerate(images)))
+        if is_primitive(z).primitive and is_aperiodic_pansiot(z).aperiodic and compute_height(z).h == 1:
+            yield z
+
+
+def test_extreme_points_k2_random_segment():
+    k2 = commuting = 0
+    for z in _random_height_one(random.Random(20250101), 150):
+        if ergodic_classes(z).k != 2:
+            continue
+        k2 += 1
+        ep = extreme_points_Q(z)
+        assert ep.method == "exact"
+        assert len(ep.points) == 2 and ep.points[0].class_values == (1, 1)
+        # floating-point check of the certificate: PSD at both ends, and an
+        # eigenvalue below 0 just past each end
+        ends = [p.class_values[1] for p in ep.points]
+        basis = eigenspace_F(z)
+        W0, W1 = (b.W().real for b in basis)
+        for t, other in (ends, ends[::-1]):
+            past = float(t) + (1e-3 if t > other else -1e-3)
+            assert np.linalg.eigvalsh(W0 + float(t) * W1)[0] > -1e-9
+            assert np.linalg.eigvalsh(W0 + past * W1)[0] < -1e-6
+        Ws = [b.W_exact() for b in basis]
+        if _matmul(*Ws) == _matmul(*Ws[::-1]):
+            commuting += 1
+            simplex = _extreme_points_exact(basis, Ws)
+            assert simplex is not None and chart_points(simplex) == chart_points(ep)
+    assert k2 >= 30 and 0 < commuting < k2
+
+
+def _matmul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def _det(M):
+    if not M:
+        return 1
+    return sum((-1) ** j * M[0][j] * _det([row[:j] + row[j + 1 :] for row in M[1:]]) for j in range(len(M)))
+
+
+def test_negative_direction_decides_psd():
+    # PSD iff every principal minor is >= 0; otherwise the witness x has x^T M x < 0
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        if rng.random() < 0.5:
+            # B^T B is PSD and mostly singular; lowering one diagonal entry may break that
+            B = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            shift = rng.choice([0, 0, 1])
+            M = [[sum(b[i] * b[j] for b in B) - shift * (i == j == n - 1) for j in range(n)] for i in range(n)]
+        else:
+            M = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    M[i][j] = M[j][i] = rng.randint(-1, 1)
+        M = [[Fraction(x) for x in row] for row in M]
+        psd = all(
+            _det([[M[i][j] for j in idx] for i in idx]) >= 0
+            for r in range(1, n + 1)
+            for idx in combinations(range(n), r)
+        )
+        x = _negative_direction(M)
+        if psd:
+            assert x is None
+        else:
+            assert x is not None
+            assert sum(x[i] * M[i][j] * x[j] for i in range(n) for j in range(n)) < 0
 
 
 def test_W_of_all_ones_is_all_ones_matrix():

@@ -32,3 +32,22 @@ def test_package_does_not_import_sympy_at_module_level():
             if any(m == "sympy" or m.startswith("sympy.") for m in modules):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_package_draws_no_random_numbers():
+    # every result the package returns is deterministic: no module imports
+    # random or numpy.random, or reaches np.random (default_rng lives there)
+    found = []
+    for path in sorted(Path(substrum.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [ast.unparse(node)]
+            else:
+                continue
+            if any(n in ("random", "numpy.random", "np.random") for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
