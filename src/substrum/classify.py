@@ -26,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .coincidence import bijectivity_profile, ergodic_classes
+from .coincidence import _ergodic_classes, bijectivity_profile
 from .core import Substitution, constant_length, is_aperiodic_pansiot, is_primitive, substitution_matrix
 from .eigen import _has_modulus_sqrt_q, _second_eigenvalue_below_sqrt_q
 from .exactlin import char_poly_coeffs, factor_integer_poly
-from .reduction import pure_base
+from .reduction import _pure_base
 
 PURELY_DISCRETE = "PurelyDiscrete"
 SINGULAR = "Singular"
@@ -114,8 +114,10 @@ def classify(z: Substitution) -> SpectralVerdict:
             evidence,
         )
 
-    base = pure_base(z)
-    classification = ergodic_classes(base.eta)
+    # primitivity is checked once, above; the pure base of a primitive
+    # substitution is primitive
+    base = _pure_base(z, q)
+    classification = _ergodic_classes(base.eta)
     profile = bijectivity_profile(z)
     evidence["h"] = base.height
     evidence["pure_base_size"] = base.eta.size

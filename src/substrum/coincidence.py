@@ -21,9 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .core import Alphabet, IntMatrix, Substitution, constant_length, is_primitive, substitution_matrix
+from .core import (
+    Alphabet,
+    IntMatrix,
+    Substitution,
+    _boolean_product,
+    _support_rows,
+    constant_length,
+    is_primitive,
+    substitution_matrix,
+)
 from .reduction import compute_height
 
 __all__ = [
@@ -110,6 +117,11 @@ def ergodic_classes(z: Substitution) -> ErgodicClassification:
     """
     if not is_primitive(z).primitive:
         raise ValueError("ergodic classification requires a primitive substitution")
+    return _ergodic_classes(z)
+
+
+def _ergodic_classes(z: Substitution) -> ErgodicClassification:
+    """`ergodic_classes` of a substitution already known to be primitive."""
     zz = bisubstitution(z)
     pa = PairAlphabet(z.alphabet)
     n = len(pa)
@@ -188,25 +200,25 @@ def _stabilizing_power(C: IntMatrix, class_indices: list[list[int]]) -> Optional
 
     Columns indexed by a class have support inside the class, so the block
     of C^j is the j-th power of the block of C; positivity only depends on
-    the boolean structure, so clipped 0/1 powers cannot overflow.  The
-    sequence of boolean powers is eventually periodic, so the search stops
-    as soon as a power repeats (a periodic non-positive pattern can never
-    become positive later); n(n+1) stays as a hard cap, dominating the
-    Wielandt bound for every block.
+    the boolean structure, so the powers are boolean products of bitmask
+    rows.  The sequence of boolean powers is eventually periodic, so the
+    search stops as soon as a power repeats (a periodic non-positive pattern
+    can never become positive later); n(n+1) stays as a hard cap,
+    dominating the Wielandt bound for every block.
     """
     n = C.dim
-    B = (C.to_numpy() > 0).astype(np.uint8)
-    P = B.copy()
-    blocks = [np.ix_(cls, cls) for cls in class_indices]
+    B = _support_rows(C)
+    P = B
+    blocks = [(cls, sum(1 << i for i in cls)) for cls in class_indices]
     seen = set()
     for j in range(1, n * (n + 1) + 1):
-        if all(P[blk].all() for blk in blocks):
+        if all(P[i] & mask == mask for cls, mask in blocks for i in cls):
             return j
-        key = P.tobytes()
+        key = tuple(P)
         if key in seen:
             return None
         seen.add(key)
-        P = np.clip(P @ B, 0, 1)
+        P = _boolean_product(P, B)
     return None
 
 
@@ -217,10 +229,10 @@ def dekking_pure_discrete(z: Substitution) -> bool:
     q = constant_length(z)
     if q is None:
         raise ValueError("criterion requires constant length")
-    h = compute_height(z).h
+    h = compute_height(z).h  # checks primitivity
     if h != 1:
         raise ValueError(f"height is {h}, not 1; reduce to the pure base first")
-    return ergodic_classes(z).k == 1
+    return _ergodic_classes(z).k == 1
 
 
 @dataclass(frozen=True)

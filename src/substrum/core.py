@@ -10,18 +10,22 @@ letters (a letter must admit two distinct neighborhoods ``bac`` among the
 allowed 3-words; otherwise the fixed point is periodic).
 
 Letters are referred to externally by their string tokens and internally by
-dense integer indices for throughput.  Long fixed-point prefixes are produced
-as compact numpy arrays and built chunkwise, so a 10^8-symbol prefix never
-materializes an intermediate full image.
+dense integer indices for throughput.  Long fixed-point prefixes are built
+chunkwise as packed byte strings, so a 10^8-symbol prefix never
+materializes an intermediate full image; `fixed_point_prefix` hands them
+out as compact numpy arrays.  numpy is imported there only: nothing on the
+exact classification path loads it.
 """
 
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Alphabet",
@@ -46,6 +50,9 @@ __all__ = [
 # Hard ceiling for in-memory symbol buffers (symbols, not bytes).  Generous:
 # a uint8 prefix of this size is 200 MB.
 DEFAULT_MAX_SYMBOLS = 2 * 10**8
+# the prefix builder squares the substitution while its longest image has at
+# most this many symbols, so no image it joins exceeds the square of this
+_SQUARE_MAX_IMAGE = 64
 
 
 class ParseError(ValueError):
@@ -186,9 +193,6 @@ class IntMatrix:
     def is_positive(self) -> bool:
         return all(x > 0 for row in self.entries for x in row)
 
-    def to_numpy(self, dtype=np.int64) -> np.ndarray:
-        return np.array(self.entries, dtype=dtype)
-
     def column_sums(self) -> tuple[int, ...]:
         return tuple(sum(col) for col in zip(*self.entries))
 
@@ -294,21 +298,42 @@ class PrimitivityResult:
     witness_n: Optional[int]  # least n with S^n > 0 entrywise, if primitive
 
 
+def _support_rows(M: IntMatrix) -> list[int]:
+    """The 0/1 pattern of M as bitmask rows: bit c of row r is set iff M[r, c] > 0."""
+    return [sum(1 << c for c, x in enumerate(row) if x > 0) for row in M.entries]
+
+
+def _boolean_product(A: list[int], B: list[int]) -> list[int]:
+    """Boolean matrix product of bitmask rows: row r of AB is the union of the
+    rows of B at the set bits of row r of A."""
+    out = []
+    for row in A:
+        acc = 0
+        while row:
+            low = row & -row
+            acc |= B[low.bit_length() - 1]
+            row ^= low
+        out.append(acc)
+    return out
+
+
 def is_primitive(z: Substitution) -> PrimitivityResult:
     """Test primitivity: some power of the substitution matrix is entrywise positive.
 
-    Iterates clipped (0/1) matrix powers, so entries never overflow, and
-    returns the least witness exponent.  The bound m^2 + 1 dominates the
-    Wielandt bound (m-1)^2 + 1 for primitive nonnegative matrices, so a miss
-    within the bound is a definitive "not primitive".
+    Positivity of S^n only depends on the 0/1 pattern of S, so the powers
+    are taken as boolean products of bitmask rows, and the least witness
+    exponent is returned.  The bound m^2 + 1 dominates the Wielandt bound
+    (m-1)^2 + 1 for primitive nonnegative matrices, so a miss within the
+    bound is a definitive "not primitive".
     """
     m = z.size
-    S = (substitution_matrix(z).to_numpy() > 0).astype(np.uint8)
-    power = S.copy()
+    full = (1 << m) - 1
+    S = _support_rows(substitution_matrix(z))
+    power = S
     for n in range(1, m * m + 2):
-        if power.all():
+        if all(row == full for row in power):
             return PrimitivityResult(True, n)
-        power = np.clip(power @ S, 0, 1)
+        power = _boolean_product(power, S)
     return PrimitivityResult(False, None)
 
 
@@ -353,23 +378,63 @@ def seed_letter(z: Substitution) -> tuple[int, int]:
     return a, p
 
 
-def _image_arrays(z: Substitution):
-    """Flattened image table for vectorized expansion."""
-    m = z.size
-    dtype = np.min_scalar_type(m - 1)
-    flat = np.concatenate([np.array(img, dtype=dtype) for img in z.images])
-    lens = np.array([len(img) for img in z.images], dtype=np.int64)
-    starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    return flat, lens, starts
+def _symbol_code(m: int) -> str:
+    """`array` typecode of one symbol of an m-letter alphabet: the narrowest
+    unsigned type that holds m - 1, as numpy's `min_scalar_type` picks it."""
+    return next(code for code in "BHIQ" if m - 1 < 1 << (8 * array(code).itemsize))
 
 
-def _expand(word: np.ndarray, flat, lens, starts) -> np.ndarray:
-    """Vectorized one-step substitution of an index array."""
-    wl = lens[word]
-    total = int(wl.sum())
-    base = np.repeat(starts[word], wl)
-    run_start = np.repeat(np.cumsum(wl) - wl, wl)
-    return flat[base + (np.arange(total, dtype=np.int64) - run_start)]
+def _pack(word: Sequence[int], m: int) -> bytes:
+    """A word over an m-letter alphabet as bytes, one `_symbol_code(m)` item per letter."""
+    return array(_symbol_code(m), word).tobytes()
+
+
+def _unpack(packed: bytes, m: int) -> tuple[int, ...]:
+    """Inverse of `_pack`."""
+    return tuple(memoryview(packed).cast(_symbol_code(m)))
+
+
+def _fixed_point_bytes(
+    z: Substitution,
+    letter: int,
+    power: int,
+    target_len: int,
+    max_symbols: int = DEFAULT_MAX_SYMBOLS,
+) -> bytes:
+    """`fixed_point_prefix` packed as bytes, one `_symbol_code(z.size)` item per symbol.
+
+    Each round joins the packed images of the symbols it expands, in one
+    `bytes.join`.  The fixed point of w = z^power is also the fixed point of
+    every power of w, so w is first squared while its images are short:
+    then each round joins fewer, longer strings.
+    """
+    if target_len < 1:
+        raise ValueError("target_len must be >= 1")
+    if target_len > max_symbols:
+        raise ResourceBudgetError(
+            f"target_len {target_len} exceeds symbol budget {max_symbols}"
+        )
+    w = power_substitution(z, power)
+    if w.images[letter][0] != letter:
+        raise ValueError(
+            f"z^{power}({z.alphabet.token(letter)!r}) does not start with the letter itself"
+        )
+    code = _symbol_code(z.size)
+    images = [_pack(img, z.size) for img in w.images]
+    if len(w.images[letter]) == 1:
+        # z^power(letter) = letter: the fixed point is the constant sequence
+        return images[letter] * target_len
+    cur = _pack((letter,), z.size)
+    width = len(cur)
+    size = target_len * width
+    while max(map(len, images)) <= _SQUARE_MAX_IMAGE * width and min(map(len, images)) < size:
+        images = [b"".join([images[a] for a in memoryview(img).cast(code)]) for img in images]
+    need = -(-size // min(map(len, images)))  # source symbols that reach the target
+    while len(cur) < size:
+        # the first letter's image is longer than the letter, so every round grows
+        nxt = b"".join([images[a] for a in memoryview(cur).cast(code)[:need]])
+        cur = nxt[:size]
+    return cur
 
 
 def fixed_point_prefix(
@@ -387,39 +452,12 @@ def fixed_point_prefix(
     round is expanded, so intermediate images stay within a constant factor of
     the target.  The result is deterministic and has the prefix property:
     the length-n output is a prefix of the length-n' output for n <= n'.
+    Its dtype is `np.min_scalar_type(m - 1)`.
     """
-    if target_len < 1:
-        raise ValueError("target_len must be >= 1")
-    if target_len > max_symbols:
-        raise ResourceBudgetError(
-            f"target_len {target_len} exceeds symbol budget {max_symbols}"
-        )
-    w = power_substitution(z, power)
-    if w.images[letter][0] != letter:
-        raise ValueError(
-            f"z^{power}({z.alphabet.token(letter)!r}) does not start with the letter itself"
-        )
-    flat, lens, starts = _image_arrays(w)
-    min_growth = int(lens.min())
-    if min_growth == 1 and len(w.images[letter]) == 1:
-        # z^power(letter) = letter: the fixed point is the constant sequence
-        # only if every letter maps to itself... handle the honest way:
-        if target_len > 1 and w.images[letter] == (letter,):
-            return np.full(target_len, letter, dtype=flat.dtype)
+    import numpy as np
 
-    cur = np.array([letter], dtype=flat.dtype)
-    while cur.size < target_len:
-        if min_growth > 1:
-            # number of source symbols needed so the expansion reaches target
-            need = -(-target_len // min_growth)  # ceil
-            src = cur[:need] if cur.size > need else cur
-        else:
-            src = cur
-        nxt = _expand(src, flat, lens, starts)
-        if nxt.size <= cur.size and np.array_equal(nxt[: cur.size], cur):
-            raise ValueError("substitution does not grow from this seed; no infinite fixed point")
-        cur = nxt[:target_len] if nxt.size > target_len else nxt
-    return cur[:target_len]
+    packed = _fixed_point_bytes(z, letter, power, target_len, max_symbols)
+    return np.frombuffer(packed, dtype=_symbol_code(z.size)).astype(np.min_scalar_type(z.size - 1))
 
 
 def allowed_words(z: Substitution, length: int) -> frozenset[tuple[int, ...]]:

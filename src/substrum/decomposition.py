@@ -44,9 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .coincidence import ErgodicClassification, PairAlphabet, coincidence_matrix, ergodic_classes
 from .core import IntMatrix, Substitution, constant_length, substitution_matrix
@@ -59,6 +57,9 @@ from .exactlin import (
     rational_rank,
     rational_solve,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ClassVector",
@@ -116,6 +117,8 @@ class ClassVector:
 
     def W(self) -> np.ndarray:
         """The associated m x m matrix W(a,b) = v_(a,b), as complex floats."""
+        import numpy as np
+
         return np.array(self.W_exact(), dtype=complex)
 
     def W_exact(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -456,6 +459,8 @@ def decompose_lambda(
     except all-ones, each generator is checked to be orthogonal to constants
     in L^2(mu) within 1e-10 — this is what guarantees sigma_{f_j}({0}) = 0.
     """
+    import numpy as np
+
     Wx = v.W_exact()
     if Wx != tuple(zip(*Wx)):
         raise ValueError("associated matrix is not symmetric")

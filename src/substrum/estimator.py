@@ -33,10 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .coincidence import coincidence_matrix
 from .core import (
@@ -49,6 +46,9 @@ from .core import (
 )
 from .decomposition import letter_frequencies
 from .eigen import j_pr_kappa
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_PREFIX = 10**7
 DEFAULT_LAGS = 4096
@@ -104,6 +104,9 @@ class CorrelationTable:
 
 def _direct_counts(u: np.ndarray, L: int, K: int, m: int) -> np.ndarray:
     """N[k, a, b] = #{n < L : u[n] = a, u[n+k] = b} by bincount over u[:L+K]."""
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
+
     windows = sliding_window_view(u.astype(np.int64), K + 1)[:L]  # row n is u[n : n+K+1]
     offsets = np.arange(K + 1) * (m * m)
     counts = np.zeros((K + 1) * m * m, dtype=np.int64)
@@ -124,6 +127,8 @@ def _lag_transfers(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     0 <= delta < Q, and column block delta + Q - 1 of backward is T_delta^T for
     1-Q <= delta < 0, each block m^2 wide.
     """
+    import numpy as np
+
     m, Q = images.shape
     pairs = (np.arange(m)[:, None, None] * m + np.arange(m)[None, :, None]) * (m * m)
     blocks = []
@@ -156,6 +161,8 @@ def _lag_counts(z: Substitution, L: int, K: int) -> np.ndarray:
     and float64 holds every integer up to 2^53, so L > 2^53 raises
     ValueError.
     """
+    import numpy as np
+
     q = constant_length(z)
     if q is None or q < 2:
         raise ValueError("lag counting requires a constant-length substitution with q >= 2")
@@ -213,6 +220,8 @@ def _lag_counts(z: Substitution, L: int, K: int) -> np.ndarray:
 
 def pair_correlations(z: Substitution, K: int = DEFAULT_LAGS, L: int = DEFAULT_PREFIX) -> PairCorrelations:
     """Estimate all pair correlations at budget (K, L)."""
+    import numpy as np
+
     counts = _lag_counts(z, L, K)
     # public convention puts the lead letter first: sigma_ab(k) = N[k,b,a]/L
     sigma = np.swapaxes(counts, 1, 2) / L
@@ -220,6 +229,8 @@ def pair_correlations(z: Substitution, K: int = DEFAULT_LAGS, L: int = DEFAULT_P
 
 
 def _coefficient_vector(z: Substitution, f) -> np.ndarray:
+    import numpy as np
+
     vec = np.asarray([complex(x) for x in f], dtype=np.complex128)
     if vec.shape != (z.size,):
         raise ValueError(f"cylindrical vector must have {z.size} entries, got {vec.shape}")
@@ -238,6 +249,8 @@ def correlations(
     read as a cylindrical coefficient vector, one entry per letter.  Results
     are deterministic for fixed (z, K, L).
     """
+    import numpy as np
+
     table = pair_correlations(z, K, L)
     if (
         isinstance(f_or_pair, tuple)
@@ -264,11 +277,13 @@ def renormalization_check(
     exact in the limit, so the deviation measures estimation error and must
     shrink as L grows.  Compared for all pairs and all 0 <= n <= K/q.
     """
+    import numpy as np
+
     q = constant_length(z)
     if q is None:
         raise ValueError("renormalization requires a constant-length substitution")
     table = pair_correlations(z, K, L)
-    C = coincidence_matrix(z).to_numpy(dtype=np.float64)
+    C = np.array(coincidence_matrix(z).entries, dtype=np.float64)
     flat = table.flat()
     n_max = K // q
     lhs = flat[q * np.arange(n_max + 1)]
@@ -283,6 +298,8 @@ def point_mass_at_zero(table: CorrelationTable) -> float:
     |sum_a b_a mu[a]|^2.  The imaginary part of the average vanishes in the
     limit and is discarded.
     """
+    import numpy as np
+
     K = table.K
     return float(np.mean(table.sigma[:K]).real)
 
@@ -295,6 +312,8 @@ def ball_mass(table: CorrelationTable, r: float) -> float:
     is nonnegative and comparable to the sharp indicator of B_r only up to
     constants, which cancel in log-log slopes.
     """
+    import numpy as np
+
     N = max(1, int(round(1.0 / r)))
     if N > table.K:
         raise ValueError(f"radius {r} needs {N} lags but the table holds K={table.K}")
@@ -339,6 +358,8 @@ def dimension_fit(
     |theta_j| > 1; otherwise the mass decays faster than r^(2-eps) for every
     eps and only that regime is reported.
     """
+    import numpy as np
+
     q = constant_length(z)
     if q is None:
         raise ValueError("dimension estimation requires a constant-length substitution")
@@ -424,6 +445,8 @@ def birkhoff_growth(
     mean-zero f is alpha = log_q |theta_j|; bounded sums fit slope ~ 0,
     consistent with |theta_j| <= 1.
     """
+    import numpy as np
+
     q = constant_length(z)
     if q is None:
         raise ValueError("growth fit requires a constant-length substitution")

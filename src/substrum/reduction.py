@@ -31,13 +31,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .core import (
     Alphabet,
     Substitution,
+    _fixed_point_bytes,
+    _pack,
+    _unpack,
     constant_length,
-    fixed_point_prefix,
     is_primitive,
     power_substitution,
     seed_letter,
@@ -76,16 +76,21 @@ def _require_primitive(z: Substitution) -> int:
     return q
 
 
-def _occurrences(word: Sequence[int], u: Sequence[int]) -> np.ndarray:
-    """Start positions of all (possibly overlapping) occurrences of u."""
-    word = np.asarray(word)
-    n, k = len(word), len(u)
-    if n < k:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(n - k + 1, dtype=bool)
-    for j, a in enumerate(u):
-        mask &= word[j : n - k + 1 + j] == a
-    return np.nonzero(mask)[0].astype(np.int64)
+def _prefix(z: Substitution, letter: int, power: int, n: int) -> tuple[int, ...]:
+    """The first n symbols of U, the fixed point of z^power at letter."""
+    return _unpack(_fixed_point_bytes(z, letter, power, n), z.size)
+
+
+def _occurrences(word: bytes, u: bytes, width: int) -> list[int]:
+    """Symbol positions of all (possibly overlapping) occurrences of u in
+    word, both packed with `width` bytes per symbol."""
+    found = []
+    i = word.find(u)
+    while i >= 0:
+        if i % width == 0:  # a match straddling two symbols is no occurrence
+            found.append(i // width)
+        i = word.find(u, i + 1)
+    return found
 
 
 def _first_return(z: Substitution, letter: int, power: int, u: tuple[int, ...]) -> tuple[int, int]:
@@ -93,13 +98,14 @@ def _first_return(z: Substitution, letter: int, power: int, u: tuple[int, ...]) 
     occurs again, found in a prefix of n symbols.
 
     U is uniformly recurrent for primitive z, so the doubling scan ends;
-    `fixed_point_prefix`'s symbol budget is the only cap.
+    the prefix builder's symbol budget is the only cap.
     """
+    packed = _pack(u, z.size)
     n = 64 * len(u)
     while True:
-        occ = _occurrences(fixed_point_prefix(z, letter, power, n), u)
-        if occ.size >= 2:
-            return int(occ[1]), n
+        occ = _occurrences(_fixed_point_bytes(z, letter, power, n), packed, len(packed) // len(u))
+        if len(occ) >= 2:
+            return occ[1], n
         n *= 2
 
 
@@ -142,7 +148,11 @@ def compute_height(z: Substitution) -> HeightInfo:
     decides exactly from the self-similarity of U.  h is the largest
     divisor of g0 coprime to q.
     """
-    q = _require_primitive(z)
+    return _compute_height(z, _require_primitive(z))
+
+
+def _compute_height(z: Substitution, q: int) -> HeightInfo:
+    """`compute_height` of a primitive substitution of constant length q."""
     letter, power = seed_letter(z)
     w = power_substitution(z, power)
     k1, prefix_used = _first_return(z, letter, power, (letter,))
@@ -192,7 +202,12 @@ def pure_base(z: Substitution) -> PureBase:
     (block k >= 1 comes from block k // Q < k).  eta maps each block letter
     to those Q blocks; phi(eta(i)) = w(phi(i)) is checked on every letter.
     """
-    h = compute_height(z).h
+    return _pure_base(z, _require_primitive(z))
+
+
+def _pure_base(z: Substitution, q: int) -> PureBase:
+    """`pure_base` of a primitive substitution of constant length q."""
+    h = _compute_height(z, q).h
     tok = z.alphabet.token
     if h == 1:
         phi = tuple((tok(a), (tok(a),)) for a in range(z.size))
@@ -201,7 +216,7 @@ def pure_base(z: Substitution) -> PureBase:
     letter, power = seed_letter(z)
     w = power_substitution(z, power)
     Q = constant_length(w)
-    first = tuple(int(x) for x in fixed_point_prefix(z, letter, power, h))
+    first = _prefix(z, letter, power, h)
     blocks = [first]
     index = {first: 0}
     images = []
@@ -255,28 +270,27 @@ def return_words(z: Substitution, u: Optional[Sequence[int]] = None) -> ReturnWo
     Defaults u to the first h-block of U (the image of the first pure-base
     letter), the prefix the height reduction naturally distinguishes.
     """
-    _require_primitive(z)
+    q = _require_primitive(z)
     letter, power = seed_letter(z)
     if u is None:
-        h = compute_height(z).h
-        u = tuple(int(x) for x in fixed_point_prefix(z, letter, power, h))
+        u = _prefix(z, letter, power, _compute_height(z, q).h)
     else:
         u = tuple(int(x) for x in u)
         if len(u) == 0:
             raise ValueError("u must be nonempty")
-        head = fixed_point_prefix(z, letter, power, len(u))
-        if tuple(int(x) for x in head) != u:
+        if _prefix(z, letter, power, len(u)) != u:
             raise ValueError("u must be a prefix of the fixed point")
 
     w = power_substitution(z, power)
     k, _ = _first_return(z, letter, power, u)
-    first = tuple(int(x) for x in fixed_point_prefix(z, letter, power, k))
+    first = _prefix(z, letter, power, k)
+    packed = _pack(u, z.size)
     words = [first]
     index = {first: 0}
     images = []
     for v in words:  # grows while it is walked: a breadth-first closure
         img = w.apply(v) + u
-        cuts = [int(c) for c in _occurrences(img, u)]
+        cuts = _occurrences(_pack(img, z.size), packed, len(packed) // len(u))
         if cuts[0] != 0:
             raise RuntimeError(f"u is not a prefix of z^{power}(v)u for return word {v}")
         row = []

@@ -163,25 +163,26 @@ def test_purely_discrete_computes_no_enclosures(monkeypatch):
 
 def test_classify_computes_height_and_classes_once():
     # the pure base carries the height, and has height 1 by construction, so
-    # Dekking's criterion is read off its ergodic classes directly
-    counted = {
-        importlib.import_module("substrum.reduction").compute_height.__code__: "compute_height",
-        importlib.import_module("substrum.coincidence").ergodic_classes.__code__: "ergodic_classes",
-    }
-    calls = {name: 0 for name in counted.values()}
+    # Dekking's criterion is read off its ergodic classes directly; the
+    # public compute_height and ergodic_classes check primitivity and then
+    # delegate to these, which do the work
+    counted = (
+        importlib.import_module("substrum.reduction")._compute_height,
+        importlib.import_module("substrum.coincidence")._ergodic_classes,
+    )
+    verdicts = []
+    calls = count_calls(counted, lambda: verdicts.append(classify(load("height_two"))))
+    assert verdicts[0].verdict == "PurelyDiscrete"
+    assert calls == {"_compute_height": 1, "_ergodic_classes": 1}
 
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code in counted:
-            calls[counted[frame.f_code]] += 1
 
-    z = load("height_two")
-    sys.setprofile(profile)
-    try:
-        verdict = classify(z)
-    finally:
-        sys.setprofile(None)
-    assert verdict.verdict == "PurelyDiscrete"
-    assert calls == {"compute_height": 1, "ergodic_classes": 1}
+@pytest.mark.parametrize("name", ["thue_morse", "bijective_nonabelian", "rudin_shapiro"])
+def test_classify_checks_primitivity_once(name):
+    core = importlib.import_module("substrum.core")
+    verdicts = []
+    calls = count_calls((core.is_primitive,), lambda: verdicts.append(classify(load(name))))
+    assert verdicts[0].verdict == corpus_entry(name).expected_verdict
+    assert calls == {"is_primitive": 1}
 
 
 def test_height_two_evidence():

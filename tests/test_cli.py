@@ -238,11 +238,14 @@ def run(*argv):
         code = cli.main(list(argv))
     return code, out.getvalue()
 
-loaded = ['sympy' in sys.modules]
+def heavy():
+    return sorted({'numpy', 'sympy'} & set(sys.modules))
+
+loaded = [heavy()]
 for path in sorted(pathlib.Path(sys.argv[1]).glob('*.sub')):
-    for command in ('classify', 'analyze', 'spectrum'):
+    for command in ('classify', 'analyze', 'spectrum', 'purebase'):
         run(command, str(path))
-        loaded.append('sympy' in sys.modules)
+        loaded.append(heavy())
 code, out = run('spectrum', sys.argv[2])
 print(json.dumps({'loaded': loaded, 'code': code, 'report': json.loads(out),
                   'sympy_after': 'sympy' in sys.modules}))
@@ -251,7 +254,8 @@ print(json.dumps({'loaded': loaded, 'code': code, 'report': json.loads(out),
 
 def test_cli_does_not_load_sympy_on_the_corpus(child_env, examples_dir, tmp_path):
     # every corpus factor has degree <= 2, so closed forms decide everything;
-    # sympy is imported only to isolate roots of a degree-3 factor
+    # sympy is imported only to isolate roots of a degree-3 factor.  The
+    # exact pipeline is pure Python: only the estimators load numpy
     deg3 = tmp_path / "deg3.sub"
     deg3.write_text("0 -> 3 0\n1 -> 2 2\n2 -> 0 2\n3 -> 1 2\n")
     out = subprocess.run(
@@ -262,7 +266,7 @@ def test_cli_does_not_load_sympy_on_the_corpus(child_env, examples_dir, tmp_path
     )
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout)
-    assert result["loaded"] == [False] * (1 + 3 * len(CORPUS))
+    assert result["loaded"] == [[]] * (1 + 4 * len(CORPUS))
     assert result["code"] == 0
     report = result["report"]
     assert report["char_poly"] == [1, -2, 1, -1, -2]  # (x - 2)(x^3 + x + 1)

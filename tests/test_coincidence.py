@@ -4,6 +4,7 @@ criterion, and bijectivity."""
 import subprocess
 import sys
 
+import numpy as np
 import sympy
 from sympy import Poly, Symbol
 
@@ -21,7 +22,7 @@ from substrum.coincidence import (
 from substrum.core import constant_length, is_primitive, parse_substitution, power_substitution, substitution_matrix
 from substrum.corpus import load
 from substrum.eigen import char_poly
-from substrum.reduction import pure_base
+from substrum.reduction import compute_height, pure_base
 
 _x = Symbol("x")
 
@@ -132,6 +133,36 @@ def test_ergodic_classes_match_brute_force(rules):
     assert all(c == tuple(sorted(c)) for c in cls.classes)
     in_classes = set().union(*as_sets)
     assert cls.transitive == tuple(divmod(p, m) for p in range(m * m) if p not in in_classes)
+
+
+def numpy_stabilizing_power(C, class_indices):
+    """Reference: clipped 0/1 powers of the coincidence matrix in numpy."""
+    n = C.dim
+    B = (np.array(C.entries) > 0).astype(np.uint8)
+    P = B.copy()
+    blocks = [np.ix_(cls, cls) for cls in class_indices]
+    seen = set()
+    for j in range(1, n * (n + 1) + 1):
+        if all(P[blk].all() for blk in blocks):
+            return j
+        key = P.tobytes()
+        if key in seen:
+            return None
+        seen.add(key)
+        P = np.clip(P @ B, 0, 1)
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(primitive_substitutions())
+def test_stabilizing_power_matches_numpy_reference(rules):
+    z = parse_substitution(rules)
+    assume(is_primitive(z).primitive)
+    cls = ergodic_classes(z)
+    class_indices = [[a * z.size + b for a, b in c] for c in cls.classes]
+    assert cls.stabilizing_power == numpy_stabilizing_power(coincidence_matrix(z), class_indices)
+    if compute_height(z).h == 1:
+        assert dekking_pure_discrete(z) == (cls.k == 1)
 
 
 def test_import_does_not_load_scipy(child_env):

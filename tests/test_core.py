@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from substrum.core import (
@@ -240,3 +240,95 @@ def test_allowed_words_closed_under_substitution(z):
         img = z.apply(w)
         for i in range(len(img) - 1):
             assert img[i : i + 2] in words
+
+
+# ---------------------------------------------------------------------------
+# Primitivity and prefixes against numpy references
+# ---------------------------------------------------------------------------
+
+def numpy_is_primitive(z):
+    """Reference: clipped 0/1 powers of the substitution matrix in numpy."""
+    m = z.size
+    S = (np.array(substitution_matrix(z).entries) > 0).astype(np.uint8)
+    power = S.copy()
+    for n in range(1, m * m + 2):
+        if power.all():
+            return True, n
+        power = np.clip(power @ S, 0, 1)
+    return False, None
+
+
+def numpy_fixed_point_prefix(z, letter, power, target_len):
+    """Reference: one vectorized substitution round per step, in numpy."""
+    w = power_substitution(z, power)
+    dtype = np.min_scalar_type(z.size - 1)
+    if w.images[letter] == (letter,):
+        return np.full(target_len, letter, dtype=dtype)
+    flat = np.concatenate([np.array(img, dtype=dtype) for img in w.images])
+    lens = np.array([len(img) for img in w.images], dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
+    cur = np.array([letter], dtype=dtype)
+    while cur.size < target_len:
+        wl = lens[cur]
+        run_start = np.repeat(np.cumsum(wl) - wl, wl)
+        cur = flat[np.repeat(starts[cur], wl) + (np.arange(int(wl.sum())) - run_start)]
+    return cur[:target_len]
+
+
+def tokens(m):
+    return Alphabet(tuple(str(a) for a in range(m)))
+
+
+def wielandt(m):
+    """The primitive m-letter substitution whose matrix has the largest
+    exponent, (m - 1)^2 + 1: cycles of lengths m and m - 1."""
+    images = tuple((a + 1,) for a in range(m - 1)) + ((0, 1),)
+    return Substitution(tokens(m), images)
+
+
+@st.composite
+def short_image_substitutions(draw, max_letters):
+    """Images of length 1-3, so many draws are not primitive or not of constant length."""
+    m = draw(st.integers(1, max_letters))
+    images = draw(st.lists(
+        st.lists(st.integers(0, m - 1), min_size=1, max_size=3).map(tuple), min_size=m, max_size=m,
+    ))
+    return Substitution(tokens(m), tuple(images))
+
+
+@given(short_image_substitutions(max_letters=16))
+@settings(max_examples=200, deadline=None)
+@example(wielandt(16))
+@example(wielandt(5))
+@example(parse_substitution("0 -> 0 1\n1 -> 1 1\n"))
+def test_is_primitive_matches_numpy_reference(z):
+    result = is_primitive(z)
+    assert (result.primitive, result.witness_n) == numpy_is_primitive(z)
+
+
+def test_is_primitive_wielandt_witness():
+    assert is_primitive(wielandt(16)).witness_n == 15**2 + 1
+
+
+@given(short_image_substitutions(max_letters=6), st.integers(1, 300))
+@settings(max_examples=150, deadline=None)
+@example(parse_substitution("0 -> 1\n1 -> 0\n2 -> 0 2\n"), 7)  # z^2(0) = 0: constant
+@example(parse_substitution("0 -> 0\n1 -> 0 1\n"), 5)  # z(0) = 0: constant
+@example(parse_substitution("0 -> 0 1 1\n1 -> 0\n"), 40)  # not constant length
+def test_fixed_point_prefix_matches_numpy_reference(z, n):
+    letter, power = seed_letter(z)
+    u = fixed_point_prefix(z, letter, power, n)
+    expected = numpy_fixed_point_prefix(z, letter, power, n)
+    assert u.dtype == expected.dtype == np.min_scalar_type(z.size - 1)
+    assert np.array_equal(u, expected)
+
+
+@pytest.mark.parametrize("m", [255, 256, 257, 300])
+def test_fixed_point_prefix_wide_alphabets(m):
+    # letters past 255 take two bytes
+    z = Substitution(tokens(m), tuple((a, (a * 7 + 1) % m, m - 1 - a) for a in range(m)))
+    letter, power = seed_letter(z)
+    u = fixed_point_prefix(z, letter, power, 5000)
+    expected = numpy_fixed_point_prefix(z, letter, power, 5000)
+    assert u.dtype == expected.dtype == np.min_scalar_type(m - 1)
+    assert np.array_equal(u, expected)

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from substrum.core import (
+    _pack,
     fixed_point_prefix,
     is_aperiodic_pansiot,
     is_primitive,
@@ -19,6 +20,7 @@ from substrum.core import (
 from substrum.corpus import load
 from substrum.eigen import char_poly
 from substrum.reduction import (
+    _occurrences,
     compute_height,
     pure_base,
     return_words,
@@ -229,3 +231,31 @@ def test_spectrum_difference_trivial_cases():
     assert not cmp.trivial
     # cyclotomic factors are ignored: (x-2)(x-1)(x+1) vs (x-2)(x^2+x+1)
     assert spectrum_difference_is_trivial((1, -2, -1, 2), (1, -1, -1, -2)).trivial
+
+
+def numpy_occurrences(word, u):
+    """Reference: start positions of all occurrences of u, by numpy masks."""
+    word = np.asarray(word, dtype=np.int64)
+    n, k = len(word), len(u)
+    if n < k:
+        return []
+    mask = np.ones(n - k + 1, dtype=bool)
+    for j, a in enumerate(u):
+        mask &= word[j : n - k + 1 + j] == a
+    return [int(i) for i in np.nonzero(mask)[0]]
+
+
+# letters whose packed bytes overlap across symbol boundaries: 1 and 256 are
+# 01 00 and 00 01 in two bytes, so 0 = 00 00 is found straddling them
+@pytest.mark.parametrize("m, letters", [
+    (2, (0, 1)),
+    (257, (0, 1, 256)),
+    (70000, (0, 1, 256, 65536, 65537)),
+])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_occurrences_match_numpy_reference(m, letters, data):
+    word = data.draw(st.lists(st.sampled_from(letters), max_size=60))
+    u = data.draw(st.lists(st.sampled_from(letters), min_size=1, max_size=4))
+    found = _occurrences(_pack(word, m), _pack(u, m), len(_pack([0], m)))
+    assert found == numpy_occurrences(word, u)

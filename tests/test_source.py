@@ -17,8 +17,9 @@ def test_package_has_no_assert_statements():
 
 
 def test_package_does_not_import_sympy_at_module_level():
-    # sympy is only needed to isolate roots of factors of degree >= 3; a
-    # module-level import would load it on every CLI call
+    # sympy is only needed to isolate roots of factors of degree >= 3, and
+    # numpy only by the estimators; a module-level import would load them on
+    # every CLI call
     found = []
     for path in sorted(Path(substrum.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -29,7 +30,7 @@ def test_package_does_not_import_sympy_at_module_level():
                 modules = [node.module or ""]
             else:
                 continue
-            if any(m == "sympy" or m.startswith("sympy.") for m in modules):
+            if any(m == heavy or m.startswith(heavy + ".") for m in modules for heavy in ("sympy", "numpy")):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
