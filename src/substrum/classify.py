@@ -30,7 +30,7 @@ from .coincidence import _ergodic_classes, bijectivity_profile
 from .core import Substitution, constant_length, is_aperiodic_pansiot, is_primitive, substitution_matrix
 from .eigen import _has_modulus_sqrt_q, _second_eigenvalue_below_sqrt_q
 from .exactlin import char_poly_coeffs, factor_integer_poly
-from .reduction import _pure_base
+from .reduction import _compute_height, _pure_base
 
 PURELY_DISCRETE = "PurelyDiscrete"
 SINGULAR = "Singular"
@@ -116,12 +116,15 @@ def classify(z: Substitution) -> SpectralVerdict:
 
     # primitivity is checked once, above; the pure base of a primitive
     # substitution is primitive
-    base = _pure_base(z, q)
+    height = _compute_height(z, q)
+    base = _pure_base(z, height.h)
     classification = _ergodic_classes(base.eta)
     profile = bijectivity_profile(z)
+    evidence["height"] = height
     evidence["h"] = base.height
     evidence["pure_base_size"] = base.eta.size
     evidence["pure_base"] = base
+    evidence["classification"] = classification
     evidence["k"] = classification.k
     evidence["class_sizes"] = tuple(len(c) for c in classification.classes)
     evidence["transitive_size"] = len(classification.transitive)

@@ -190,9 +190,6 @@ class IntMatrix:
             j >>= 1
         return result
 
-    def is_positive(self) -> bool:
-        return all(x > 0 for row in self.entries for x in row)
-
     def column_sums(self) -> tuple[int, ...]:
         return tuple(sum(col) for col in zip(*self.entries))
 
@@ -353,29 +350,22 @@ def seed_letter(z: Substitution) -> tuple[int, int]:
     length p satisfies f^p(a) = a, i.e. z^p(a) starts with a.  Returns the
     smallest-index letter lying on a cycle, with its cycle length.
     """
-    m = z.size
-    first = [z.images[a][0] for a in range(m)]
-    # Letters on cycles = letters visited infinitely often; find them by
-    # walking m steps from each letter (lands on a cycle), smallest first.
-    on_cycle = set()
-    for a in range(m):
-        x = a
-        for _ in range(m):
+    first = [img[0] for img in z.images]
+    # one pass: each walk marks the letters it reaches until it meets a
+    # marked one; if that letter was marked by this walk, it closed a cycle
+    walk = [-1] * z.size
+    best = (z.size, 0)
+    for start in range(z.size):
+        x = start
+        while walk[x] < 0:
+            walk[x] = start
             x = first[x]
-        # x is on a cycle; trace it
-        y = first[x]
-        cyc = {x}
-        while y != x:
-            cyc.add(y)
-            y = first[y]
-        on_cycle |= cyc
-    a = min(on_cycle)
-    p = 1
-    x = first[a]
-    while x != a:
-        x = first[x]
-        p += 1
-    return a, p
+        if walk[x] == start:
+            cycle = [x]
+            while first[cycle[-1]] != x:
+                cycle.append(first[cycle[-1]])
+            best = min(best, (min(cycle), len(cycle)))
+    return best
 
 
 def _symbol_code(m: int) -> str:

@@ -202,12 +202,11 @@ def pure_base(z: Substitution) -> PureBase:
     (block k >= 1 comes from block k // Q < k).  eta maps each block letter
     to those Q blocks; phi(eta(i)) = w(phi(i)) is checked on every letter.
     """
-    return _pure_base(z, _require_primitive(z))
+    return _pure_base(z, _compute_height(z, _require_primitive(z)).h)
 
 
-def _pure_base(z: Substitution, q: int) -> PureBase:
-    """`pure_base` of a primitive substitution of constant length q."""
-    h = _compute_height(z, q).h
+def _pure_base(z: Substitution, h: int) -> PureBase:
+    """`pure_base` of a primitive constant-length substitution of height h."""
     tok = z.alphabet.token
     if h == 1:
         phi = tuple((tok(a), (tok(a),)) for a in range(z.size))

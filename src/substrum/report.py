@@ -15,7 +15,7 @@ import json
 import math
 from typing import Optional, Sequence
 
-from .coincidence import ErgodicClassification, ergodic_classes
+from .coincidence import ErgodicClassification, _ergodic_classes
 from .core import Substitution, constant_length, substitution_matrix
 from .eigen import EigenvalueRecord, PrecisionError, _eigenvalue_classes, eigenvalue_multiset
 from .exactlin import char_poly_coeffs, factor_integer_poly, poly_mul
@@ -155,14 +155,15 @@ def analysis_report(
     except PrecisionError:
         eigen_records = None
 
-    height_payload = None
-    if ev.get("primitive") and constant_length(z) is not None:
-        info = compute_height(z)
-        height_payload = {"g0": info.g0, "h": info.h}
+    # classify's height, and its classes of the pure base, which is z at height 1
+    height = ev.get("height")
+    if height is None and ev.get("primitive") and constant_length(z) is not None:
+        height = compute_height(z)
+    height_payload = None if height is None else {"g0": height.g0, "h": height.h}
 
     classes_payload = None
     if ev.get("k") is not None:
-        classes_payload = _classes_payload(ergodic_classes(z), z)
+        classes_payload = _classes_payload(ev["classification"] if ev["h"] == 1 else _ergodic_classes(z), z)
 
     report = {
         "schema_version": SCHEMA_VERSION,

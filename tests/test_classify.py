@@ -2,7 +2,6 @@
 
 import importlib
 import math
-import sys
 import time
 
 import pytest
@@ -161,7 +160,7 @@ def test_purely_discrete_computes_no_enclosures(monkeypatch):
     assert classify(z).verdict == "PurelyDiscrete"
 
 
-def test_classify_computes_height_and_classes_once():
+def test_classify_computes_height_and_classes_once(count_calls):
     # the pure base carries the height, and has height 1 by construction, so
     # Dekking's criterion is read off its ergodic classes directly; the
     # public compute_height and ergodic_classes check primitivity and then
@@ -177,7 +176,7 @@ def test_classify_computes_height_and_classes_once():
 
 
 @pytest.mark.parametrize("name", ["thue_morse", "bijective_nonabelian", "rudin_shapiro"])
-def test_classify_checks_primitivity_once(name):
+def test_classify_checks_primitivity_once(name, count_calls):
     core = importlib.import_module("substrum.core")
     verdicts = []
     calls = count_calls((core.is_primitive,), lambda: verdicts.append(classify(load(name))))
@@ -207,25 +206,8 @@ def test_second_eigenvalue_reason_matches_theta():
             assert below
 
 
-def count_calls(functions, run):
-    """{name: number of calls} of the given functions while run() executes."""
-    counted = {fn.__code__: fn.__name__ for fn in functions}
-    calls = {fn.__name__: 0 for fn in functions}
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code in counted:
-            calls[counted[frame.f_code]] += 1
-
-    sys.setprofile(profile)
-    try:
-        run()
-    finally:
-        sys.setprofile(None)
-    return calls
-
-
 @pytest.mark.parametrize("name", ["thue_morse", "bijective_nonabelian", "rudin_shapiro"])
-def test_classify_factors_the_char_poly_once(name, tmp_path, capsys):
+def test_classify_factors_the_char_poly_once(name, tmp_path, capsys, count_calls):
     # the sqrt(q) test and the theta_2 test share one characteristic
     # polynomial and one factorization; so do the eigenvalue listing and the
     # sqrt(q) test of `spectrum`, and the listing and char poly of the
@@ -249,8 +231,30 @@ def test_classify_factors_the_char_poly_once(name, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name, classes", [
+    ("thue_morse", 1), ("bijective_nonabelian", 1), ("height_two", 2),
+])
+def test_analyze_computes_height_and_classes_once(name, classes, tmp_path, capsys, count_calls):
+    # the analysis report reads the height and, at height 1 where the pure
+    # base is z itself, the ergodic classes from classify's evidence; at
+    # height 2 it classifies the pairs of z as well as those of the pure base
+    cli = importlib.import_module("substrum.cli")
+    counted = (
+        importlib.import_module("substrum.reduction")._compute_height,
+        importlib.import_module("substrum.coincidence")._ergodic_classes,
+        importlib.import_module("substrum.core").is_primitive,
+    )
+    path = tmp_path / f"{name}.sub"
+    path.write_text(render_substitution(load(name)))
+    codes = []
+    calls = count_calls(counted, lambda: codes.append(cli.main(["analyze", str(path), "--json"])))
+    assert codes == [0]
+    assert calls == {"_compute_height": 1, "_ergodic_classes": classes, "is_primitive": 1}
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("name", ["thue_morse", "bijective_nonabelian"])
-def test_verdicts_do_not_group_eigenvalues_by_modulus(name):
+def test_verdicts_do_not_group_eigenvalues_by_modulus(name, count_calls):
     # the modulus classes order eigenvalues for display; both eigenvalue
     # decisions are made without them
     eigen = importlib.import_module("substrum.eigen")

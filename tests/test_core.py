@@ -1,5 +1,7 @@
 """Parser, fixed-point generation, and combinatorial predicates."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -122,6 +124,53 @@ def test_seed_letter_needs_power():
     assert power == 2
     w = power_substitution(z, power)
     assert w.images[letter][0] == letter
+
+
+def quadratic_seed_letter(z):
+    """The former seed_letter: walk m steps from every letter onto a cycle."""
+    m = z.size
+    first = [z.images[a][0] for a in range(m)]
+    on_cycle = set()
+    for a in range(m):
+        x = a
+        for _ in range(m):
+            x = first[x]
+        y = first[x]
+        cyc = {x}
+        while y != x:
+            cyc.add(y)
+            y = first[y]
+        on_cycle |= cyc
+    a = min(on_cycle)
+    p = 1
+    x = first[a]
+    while x != a:
+        x = first[x]
+        p += 1
+    return a, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda m: st.lists(st.integers(0, m - 1), min_size=m, max_size=m)
+))
+def test_seed_letter_matches_quadratic_walk(first):
+    # only the first letters matter; several cycles and long tails are common
+    z = Substitution(Alphabet(tuple(str(a) for a in range(len(first)))), tuple((b, 0) for b in first))
+    assert seed_letter(z) == quadratic_seed_letter(z)
+
+
+def test_seed_letter_is_linear_in_the_alphabet():
+    # every letter is fixed by the first-letter map; walking m steps from
+    # each of the 70,000 letters took more than two minutes
+    m = 70000
+    z = Substitution(
+        Alphabet(tuple(str(a) for a in range(m))),
+        tuple((a, (7 * a + 1) % m, m - 1 - a) for a in range(m)),
+    )
+    start = time.perf_counter()
+    assert seed_letter(z) == (0, 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_fixed_point_prefix_thue_morse_literal():

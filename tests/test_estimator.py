@@ -187,6 +187,86 @@ def test_lag_counts_match_direct_count(case):
     assert np.array_equal(counts, brute_lag_counts(z, L, K))
 
 
+@settings(max_examples=40, deadline=None)
+@given(lag_count_cases(), st.integers(1, 3), st.lists(st.integers(-7, 7), min_size=75, max_size=75))
+# Q = 3 with one tail position at the top level, where each tail row of W counts
+@example(("1 -> 1 1 3\n2 -> 2 3 2\n3 -> 3 2 4\n4 -> 4 4 1\n", 3 * 4100 + 1, 500), 2, list(range(-16, 16)) + [0] * 43)
+def test_projected_lag_counts_match_direct_count(case, c, entries):
+    # an integer W of either sign (m*m rows, c columns) projects the top level exactly
+    rules, L, K = case
+    z = parse_substitution(rules)
+    m = z.size
+    W = np.array(entries[: m * m * c], dtype=np.int64).reshape(m * m, c)
+    projected = _lag_counts(z, L, K, W)
+    assert projected.shape == (K + 1, c)
+    assert np.array_equal(projected, brute_lag_counts(z, L, K).reshape(K + 1, m * m) @ W)
+
+
+@st.composite
+def rational_functions(draw):
+    """A primitive substitution (m <= 5, q <= 3), a budget (L, K) and a
+    rational f whose common denominator is at least 2."""
+    m = draw(st.integers(2, 5))
+    q = draw(st.integers(2, 3))
+    images = draw(st.lists(
+        st.lists(st.integers(0, m - 1), min_size=q, max_size=q), min_size=m, max_size=m,
+    ))
+    z = parse_substitution("".join(f"{a} -> {' '.join(map(str, img))}\n" for a, img in enumerate(images)))
+    assume(is_primitive(z).primitive)
+    f = draw(st.lists(
+        st.builds(Fraction, st.integers(-9, 9), st.integers(2, 12)), min_size=m, max_size=m,
+    ))
+    assume(any(x.denominator > 1 for x in f))
+    L = draw(st.integers(1, 8 * _DIRECT_COUNT_MAX))
+    return z, f, L, draw(st.sampled_from([0, 1, q, 37, 300]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(rational_functions())
+def test_rational_correlations_are_rounded_once(case):
+    # sigma_f(k) = sum_{a,b} f_a conj(f_b) N[k, b, a] / L, exactly, then rounded once
+    z, f, L, K = case
+    N = brute_lag_counts(z, L, K)
+    sigma = correlations(z, f, K, L).sigma
+    m = z.size
+    for k in range(K + 1):
+        exact = Fraction(sum(f[a] * f[b] * int(N[k, b, a]) for a in range(m) for b in range(m)), L)
+        assert sigma[k].real == float(exact)
+        assert sigma[k].imag == 0.0
+
+
+@pytest.mark.parametrize("z", [TM, EX61, RS])
+def test_pair_correlations_are_the_lag_counts_over_L(z):
+    # W = I: every pair table, and every one-hot projection, is N / L bit for bit
+    K, L = 100, 3 * 10**4 + 1
+    expected = np.swapaxes(brute_lag_counts(z, L, K), 1, 2) / L
+    assert np.array_equal(pair_correlations(z, K, L).sigma, expected)
+    tokens = z.alphabet.letters
+    for a, x in enumerate(tokens):
+        for b, y in enumerate(tokens):
+            assert np.array_equal(correlations(z, (x, y), K, L).sigma, expected[:, a, b])
+
+
+def test_correlations_of_a_complex_function():
+    # no exactness claim: real and imaginary columns in float64
+    K, L = 64, 10**4
+    table = pair_correlations(EX61, K, L)
+    for f in [(1j, -1, 0.5 - 0.25j, 2), (0.1, -0.1, 0.3, 0)]:
+        vec = np.array(f, dtype=complex)
+        expected = np.einsum("a,b,kab->k", vec, np.conj(vec), table.sigma)
+        assert np.allclose(correlations(EX61, f, K, L).sigma, expected, rtol=0, atol=1e-14)
+
+
+def test_projected_lag_counts_bound_the_weights():
+    # every partial sum is at most L * max|W|, which float64 holds up to 2^53
+    counts = _lag_counts(TM, 2**51, 4, np.full((4, 1), -4, dtype=np.int64))
+    assert np.all(counts == -(2**53))
+    with pytest.raises(ValueError, match="2\\^53"):
+        _lag_counts(TM, 2**51, 4, np.full((4, 1), -5, dtype=np.int64))
+    with pytest.raises(ValueError, match="2\\^53"):
+        _lag_counts(TM, 10**6, 4, np.array([[0], [2**34], [0], [1]], dtype=np.int64))
+
+
 def test_lag_counts_exact_up_to_2_53():
     # float64 holds every integer up to 2^53, and every count is at most L
     counts = _lag_counts(TM, 2**53, 4)
@@ -234,6 +314,20 @@ def test_dimension_fit_signed_indicator():
     assert 0.5 <= fit.d_hat <= 0.95
     assert fit.residual <= 0.2
     assert len(fit.radii) == len(fit.masses) == len(fit.corrected_masses)
+
+
+@pytest.mark.parametrize("f", [(1j, -1, 0, 0), (1, -1, 0), ("x", 1, 0, 0)])
+def test_dimension_fit_checks_f_before_counting(f, count_calls):
+    calls = count_calls((_lag_counts,), lambda: pytest.raises(ValueError, dimension_fit, EX61, f, K=729, L=10**5))
+    assert calls == {"_lag_counts": 0}
+
+
+def test_dimension_fit_builds_no_pair_table(count_calls):
+    calls = count_calls(
+        (_lag_counts, pair_correlations),
+        lambda: dimension_fit(EX61, (1, -1, 0, 0), K=729, L=10**5),
+    )
+    assert calls == {"_lag_counts": 1, "pair_correlations": 0}
 
 
 def test_dimension_fit_mean_zero_thue_morse():
