@@ -147,6 +147,8 @@ def classify(z: Substitution) -> SpectralVerdict:
     # one characteristic polynomial and one factorization serve both tests
     coeffs = char_poly_coeffs(substitution_matrix(z))
     factors = factor_integer_poly(coeffs)
+    evidence["coeffs"] = coeffs
+    evidence["factors"] = factors
     sqrt_q = _has_modulus_sqrt_q(coeffs, factors, q)
     evidence["sqrt_q"] = sqrt_q
 

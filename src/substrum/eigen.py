@@ -36,11 +36,14 @@ factors of degree >= 3, on first use.
 
 The elimination data (j, pr, kappa) of a rational vector b — the index of
 the first eigenvalue class that sees b, the projection of b onto that class,
-and the depth of the deepest Jordan chain it touches — is computed in exact
-rational arithmetic: on the generalized eigenspace of a squarefree factor F,
-the operator F(M^t) is an invertible multiple of the nilpotent part, so
-Jordan depth is the number of times F(M^t) can be applied before the
-projected vector vanishes.
+and the depth of the deepest Jordan chain it touches — is computed from
+integer matrix-vector products alone, with no projector matrix: for a
+factor F^e of char, the cofactor char / F^e applied to b is nonzero
+exactly when F sees b, and F(M^t) acts on F's generalized eigenspace as an
+invertible multiple of the nilpotent part, so Jordan depth is the number of
+times F(M^t) can be applied before that vector vanishes.  The projection
+comes from one Bezout identity for the whole class, and is certified by
+checking that its two parts lie in the two complementary kernels.
 """
 
 from __future__ import annotations
@@ -564,6 +567,13 @@ class Projector:
     matrix: tuple[tuple[Fraction, ...], ...]
 
 
+def _power(fac: tuple[int, ...], e: int) -> tuple[int, ...]:
+    out = (1,)
+    for _ in range(e):
+        out = poly_mul(out, fac)
+    return out
+
+
 def factor_projectors(M: IntMatrix) -> tuple[Projector, ...]:
     """Exact rational idempotents P_F = e_F(M^t), one per irreducible factor.
 
@@ -589,9 +599,7 @@ def _factor_projectors(M: IntMatrix, coeffs, factors) -> tuple[Projector, ...]:
     n = M.dim
     scaled = []  # (factor, multiplicity, E_F(M^t), D_F)
     for fac, mult in factors:
-        G = (1,)
-        for _ in range(mult):
-            G = poly_mul(G, fac)
+        G = _power(fac, mult)
         H, rem = poly_divmod(coeffs, G)
         if rem:
             raise RuntimeError(f"factor {fac}^{mult} does not divide the characteristic polynomial")
@@ -625,10 +633,6 @@ def _factor_projectors(M: IntMatrix, coeffs, factors) -> tuple[Projector, ...]:
     )
 
 
-def _apply_rational(matrix, vec):
-    return tuple(sum(a * v for a, v in zip(row, vec)) for row in matrix)
-
-
 @dataclass(frozen=True)
 class JPRKappa:
     """Elimination data of a rational vector b with respect to M^t.
@@ -648,62 +652,101 @@ class JPRKappa:
     kappa: int
 
 
+def _poly_times_vector(coeffs: Sequence[int], rows, v: Sequence[int]) -> list[int]:
+    """coeffs(A)·v for the integer matrix A with the given rows, by Horner's
+    scheme on the vector: deg·m² integer products and no matrix product."""
+    acc = [0] * len(v)
+    for c in coeffs:
+        acc = [sum(a * x for a, x in zip(row, acc)) + c * y for row, y in zip(rows, v)]
+    return acc
+
+
+def _cofactor(coeffs, G) -> tuple:
+    """char / G, which must divide exactly."""
+    H, rem = poly_divmod(coeffs, G)
+    if rem:
+        raise RuntimeError(f"{G} does not divide the characteristic polynomial")
+    return H
+
+
+def _jordan_depth(fac, e: int, rows, w: list[int]) -> int:
+    """How many times fac(A) applies to w before it vanishes, at most e."""
+    depth = 0
+    while any(w):
+        depth += 1
+        if depth > e:
+            raise RuntimeError(f"Jordan depth of factor {fac} exceeds its multiplicity {e}")
+        w = _poly_times_vector(fac, rows, w)
+    return depth
+
+
 def j_pr_kappa(M: IntMatrix, b: Sequence) -> JPRKappa:
     """Exact elimination data (j, pr(b), kappa) for a nonzero rational vector b.
 
-    Activity of an irreducible factor F is the exact rational test
-    P_F b != 0 (for rational b one Galois-conjugate root of F sees b iff
-    they all do, so per-factor projectors lose nothing).  kappa is computed
-    inside the modulus class by iterating F_cls(M^t), which acts on each
-    factor's generalized eigenspace as an invertible multiple of its
-    nilpotent part, where F_cls is the product of the class's distinct
-    irreducible factors.
+    Only integer matrix-vector products with A = M^t are used, on the
+    integer vector n = d·b (d the common denominator of b).  For a factor
+    F^e of char(M), H_F = char / F^e kills every generalized eigenspace but
+    F's and is invertible on F's, so w_F = H_F(A)·n is nonzero exactly when
+    F sees b (for rational b one Galois-conjugate root of F sees b iff they
+    all do), and kappa_F, the number of times F(A) applies before w_F
+    vanishes, is the depth of the Jordan chain of F that b touches.  j is
+    the first position, in the descending-modulus multiset, of a root whose
+    factor sees b, and kappa is the largest kappa_F over the factors with a
+    root in that modulus class.
+
+    pr(b) is E(A)·n / (D·d) for G = prod F^e over the class's factors,
+    H = char / G, and E = D·(t·H mod char) from one Bezout identity
+    s·G + t·H = 1.  It is certified exactly: G(A)·p = 0 and
+    H(A)·(D·n - p) = 0 for p = E(A)·n, and Q^m = ker G(A) + ker H(A) is a
+    direct sum, so p is D times the projection of n onto ker G(A).
     """
     bvec = tuple(Fraction(v) for v in b)
     if all(v == 0 for v in bvec):
         raise ValueError("b must be nonzero")
+    d = lcm(*(v.denominator for v in bvec))
+    n = [int(v * d) for v in bvec]
+    rows = M.transpose().entries
     coeffs = char_poly_coeffs(M)
     factors = factor_integer_poly(coeffs)
-    classes = _eigenvalue_classes(factors)
-    projectors = {p.factor: p for p in _factor_projectors(M, coeffs, factors)}
-    proj_b = {fac: _apply_rational(p.matrix, bvec) for fac, p in projectors.items()}
-    active = {fac: any(v != 0 for v in pb) for fac, pb in proj_b.items()}
+    mult = dict(factors)
+    seen: dict[tuple[int, ...], list[int]] = {}  # factor -> w_F, computed on first use
+
+    def w(fac):
+        if fac not in seen:
+            seen[fac] = _poly_times_vector(_cofactor(coeffs, _power(fac, mult[fac])), rows, n)
+        return seen[fac]
 
     pos = 0
-    for cls in classes:
-        j = None
+    for cls in _eigenvalue_classes(factors):
+        chosen = None
         for rec in cls:
-            for _ in range(rec.multiplicity):
-                pos += 1
-                if j is None and active[rec.factor]:
-                    j = pos
-                    chosen = rec
-        if j is not None:
-            class_factors = []
-            for rec in cls:
-                if rec.factor not in class_factors:
-                    class_factors.append(rec.factor)
-            pr_b = tuple(
-                sum(col) for col in zip(*(proj_b[fac] for fac in class_factors))
-            )
-            f_cls = (1,)
-            for fac in class_factors:
-                f_cls = poly_mul(f_cls, fac)
-            A = poly_at_int_matrix(f_cls, M.transpose()).entries
-            kappa = 1
-            w = _apply_rational(A, pr_b)
-            max_mult = max(projectors[fac].multiplicity for fac in class_factors)
-            while any(v != 0 for v in w):
-                kappa += 1
-                if kappa > max_mult:
-                    raise RuntimeError("Jordan depth cannot exceed factor multiplicity")
-                w = _apply_rational(A, w)
-            return JPRKappa(
-                j=j,
-                theta=chosen.value,
-                theta_modulus_lo=chosen.modulus_lo,
-                theta_modulus_hi=chosen.modulus_hi,
-                pr_b=pr_b,
-                kappa=kappa,
-            )
-    raise RuntimeError("b is nonzero, so some projector must see it")
+            if chosen is None and any(w(rec.factor)):
+                chosen, j = rec, pos + 1
+            pos += rec.multiplicity
+        if chosen is None:
+            continue
+        class_factors = tuple(dict.fromkeys(rec.factor for rec in cls))
+        kappa = max(_jordan_depth(fac, mult[fac], rows, w(fac)) for fac in class_factors)
+        G = (1,)
+        for fac in class_factors:
+            G = poly_mul(G, _power(fac, mult[fac]))
+        H = _cofactor(coeffs, G)
+        _s, t, g = poly_gcdex(G, H)
+        if g != (1,):
+            raise RuntimeError(f"the factors {class_factors} are not coprime to their complement")
+        e = poly_divmod(poly_mul(t, H), coeffs)[1]
+        D = lcm(*(c.denominator for c in e))
+        p = _poly_times_vector([int(c * D) for c in e], rows, n)
+        if any(_poly_times_vector(G, rows, p)) or any(
+            _poly_times_vector(H, rows, [D * x - y for x, y in zip(n, p)])
+        ):
+            raise RuntimeError(f"the projection of b onto the factors {class_factors} fails its certificate")
+        return JPRKappa(
+            j=j,
+            theta=chosen.value,
+            theta_modulus_lo=chosen.modulus_lo,
+            theta_modulus_hi=chosen.modulus_hi,
+            pr_b=tuple(Fraction(x, D * d) for x in p),
+            kappa=kappa,
+        )
+    raise RuntimeError("b is nonzero, so some factor of the characteristic polynomial must see it")

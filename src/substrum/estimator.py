@@ -403,7 +403,7 @@ def dimension_fit(
 
     try:
         rational_f = [Fraction(x) for x in f]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError("dimension prediction needs rational real coefficients") from exc
     table = correlations(z, rational_f, K, L)
     elim = j_pr_kappa(substitution_matrix(z), rational_f)

@@ -9,9 +9,11 @@ Python ints and fractions.Fraction:
   zero polynomial is the empty tuple): products, division with remainder
   (exact over Z by a monic divisor), monic gcds and extended gcds over Q;
 * irreducible factorization over Z: Yun's squarefree decomposition, then
-  Zassenhaus's algorithm on each squarefree part (Berlekamp modulo a small
-  prime, Hensel lifting above twice the Mignotte bound, recombination by
-  exact trial division);
+  each squarefree part on its own: a quadratic splits iff its
+  discriminant is a perfect square, and a higher degree goes through
+  Zassenhaus's algorithm (Berlekamp modulo a small prime, Hensel lifting
+  above twice the Mignotte bound, recombination by exact trial division),
+  with the first good prime at degree 3 and the best of three above;
 * one rational row reduction behind nullspaces, ranks, solves and
   inverses;
 * integer polynomials evaluated at integer matrices, and rational interval
@@ -42,8 +44,8 @@ __all__ = [
     "sqrt_interval",
 ]
 
-# good primes whose Berlekamp factorizations are compared; the one with the
-# fewest factors keeps recombination short
+# good primes whose Berlekamp factorizations are compared above degree 3;
+# the one with the fewest factors keeps recombination short
 _GOOD_PRIMES_TRIED = 3
 
 
@@ -286,10 +288,22 @@ def _zassenhaus(f: tuple[int, ...]) -> list[tuple[int, ...]]:
     n = len(f) - 1
     if n == 1:
         return [f]
+    if n == 2:
+        # x^2 + b x + c splits over Z iff b^2 - 4c is a square s^2 (never
+        # when it is negative); then b and s have the same parity and the
+        # roots (-b +- s)/2 are integers
+        b, c = f[1], f[2]
+        disc = b * b - 4 * c
+        s = isqrt(abs(disc))
+        if s * s != disc:
+            return [f]
+        return [(1, (b - s) // 2), (1, (b + s) // 2)]
     best = None
     tried = 0
     p = 1
-    while tried < _GOOD_PRIMES_TRIED:
+    # below degree 4 recombination tries at most 3 subsets, so one good
+    # prime is enough
+    while tried < (1 if n <= 3 else _GOOD_PRIMES_TRIED):
         p = _next_prime(p)
         fp = _mod_trim(f, p)
         if len(_gcd_mod(fp, _mod_trim(_derivative(f), p), p)) != 1:
@@ -486,6 +500,8 @@ def _lift_pair(f, g, h, p, modulus) -> tuple[tuple[int, ...], tuple[int, ...]]:
         q, r = _divmod_mod(poly_mul(s, e), h, m)
         g = _mod_trim(_add(_add(g, poly_mul(t, e)), poly_mul(q, g)), m)
         h = _mod_trim(_add(h, r), m)
+        if m == modulus:
+            break  # the Bezout pair is lifted only for a further step
         b = _mod_trim(_sub(_add(poly_mul(s, g), poly_mul(t, h)), (1,)), m)
         c, d = _divmod_mod(poly_mul(s, b), h, m)
         s = _mod_trim(_sub(s, d), m)

@@ -149,9 +149,15 @@ def analysis_report(
     S = substitution_matrix(z)
     ev = verdict.evidence
 
-    coeffs = char_poly_coeffs(S)
+    # classify's characteristic polynomial and factorization, unless it
+    # stopped before them (a failed precondition or a Dekking verdict)
+    if "factors" in ev:
+        coeffs, factors = ev["coeffs"], ev["factors"]
+    else:
+        coeffs = char_poly_coeffs(S)
+        factors = factor_integer_poly(coeffs)
     try:
-        eigen_records = [r for cls in _eigenvalue_classes(factor_integer_poly(coeffs)) for r in cls]
+        eigen_records = [r for cls in _eigenvalue_classes(factors) for r in cls]
     except PrecisionError:
         eigen_records = None
 

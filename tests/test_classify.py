@@ -210,8 +210,8 @@ def test_second_eigenvalue_reason_matches_theta():
 def test_classify_factors_the_char_poly_once(name, tmp_path, capsys, count_calls):
     # the sqrt(q) test and the theta_2 test share one characteristic
     # polynomial and one factorization; so do the eigenvalue listing and the
-    # sqrt(q) test of `spectrum`, and the listing and char poly of the
-    # analysis report
+    # sqrt(q) test of `spectrum`, and `analyze` reads classify's in its
+    # listing and char poly
     exactlin = importlib.import_module("substrum.exactlin")
     cli = importlib.import_module("substrum.cli")
     counted = (exactlin.char_poly_coeffs, exactlin.factor_integer_poly)
@@ -223,12 +223,27 @@ def test_classify_factors_the_char_poly_once(name, tmp_path, capsys, count_calls
 
     path = tmp_path / f"{name}.sub"
     path.write_text(render_substitution(z))
-    for command, once in (("spectrum", 1), ("analyze", 2)):
+    for command, once in (("spectrum", 1), ("analyze", 1)):
         codes = []
         calls = count_calls(counted, lambda: codes.append(cli.main([command, str(path)])))
         assert codes == [0]
         assert calls == {"char_poly_coeffs": once, "factor_integer_poly": once}, command
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["height_two", "periodic"])
+def test_analysis_report_factors_when_classify_did_not(name, count_calls):
+    # a Dekking verdict and a failed precondition stop classify before the
+    # characteristic polynomial, so the report factors it once itself
+    exactlin = importlib.import_module("substrum.exactlin")
+    counted = (exactlin.char_poly_coeffs, exactlin.factor_integer_poly)
+    z = load(name)
+    verdict = classify(z)
+    assert "factors" not in verdict.evidence
+    reports = []
+    calls = count_calls(counted, lambda: reports.append(analysis_report(z, verdict)))
+    assert calls == {"char_poly_coeffs": 1, "factor_integer_poly": 1}
+    assert reports[0]["char_poly"] == list(char_poly(substitution_matrix(z)).coeffs)
 
 
 @pytest.mark.parametrize("name, classes", [

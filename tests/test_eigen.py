@@ -8,15 +8,18 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import substrum.eigen as eigen_module
-from substrum.core import IntMatrix, parse_substitution, substitution_matrix
+import substrum.exactlin as exactlin_module
+from substrum.core import Alphabet, IntMatrix, Substitution, parse_substitution, substitution_matrix
 from substrum.corpus import CORPUS, load
+from substrum.estimator import dimension_fit
 from substrum.exactlin import char_poly_coeffs, factor_integer_poly, poly_mul
 from substrum.eigen import (
     char_poly,
+    eigenvalue_classes,
     eigenvalue_multiset,
     eigenvalues,
     factor_projectors,
@@ -387,3 +390,160 @@ def test_j_pr_kappa_perron_component():
 def test_j_pr_kappa_rejects_zero():
     with pytest.raises(ValueError):
         j_pr_kappa(S("thue_morse"), [0, 0])
+
+
+# ---------------------------------------------------------------------------
+# Elimination data from matrix-vector products, against the projectors
+# ---------------------------------------------------------------------------
+
+def reference_j_pr_kappa(M, b):
+    """(j, theta, modulus enclosure, pr_b, kappa) from the public factor
+    projectors: j is the first position of the descending-modulus multiset
+    whose factor's projector sees b, pr_b sums the projections of b onto the
+    factors of that modulus class, and kappa counts how many times the
+    product of those factors, at M^t, applies before pr_b vanishes."""
+    b = [Fraction(v) for v in b]
+    seen = {P.factor: [sum(a * v for a, v in zip(row, b)) for row in P.matrix] for P in factor_projectors(M)}
+    Mt = [[Fraction(v) for v in row] for row in M.transpose().entries]
+    pos = 0
+    for cls in eigenvalue_classes(M):
+        hits = []
+        for rec in cls:
+            if any(seen[rec.factor]):
+                hits.append((pos + 1, rec))
+            pos += rec.multiplicity
+        if not hits:
+            continue
+        j, rec = hits[0]
+        class_factors = list(dict.fromkeys(r.factor for r in cls))
+        pr_b = [sum(col) for col in zip(*(seen[fac] for fac in class_factors))]
+        f_cls = (1,)
+        for fac in class_factors:
+            f_cls = poly_mul(f_cls, fac)
+        A = _fraction_horner([Fraction(c) for c in f_cls], Mt)
+        kappa, v = 0, pr_b
+        while any(v):
+            kappa += 1
+            v = [sum(a * x for a, x in zip(row, v)) for row in A]
+        return j, rec.value, rec.modulus_lo, rec.modulus_hi, tuple(pr_b), kappa
+    raise AssertionError("no projector sees a nonzero b")
+
+
+def low_degree(M):
+    """M when every irreducible factor of char(M) has degree <= 2, whose
+    roots have closed forms."""
+    assume(all(len(fac) <= 3 for fac, _mult in factor_integer_poly(char_poly_coeffs(M))))
+    return M
+
+
+@st.composite
+def substitution_matrices(draw):
+    m = draw(st.integers(1, 5))
+    q = draw(st.integers(1, 3))
+    images = draw(st.lists(
+        st.lists(st.integers(0, m - 1), min_size=q, max_size=q).map(tuple), min_size=m, max_size=m,
+    ))
+    return substitution_matrix(Substitution(Alphabet(tuple(str(a) for a in range(m))), tuple(images)))
+
+
+@st.composite
+def matrices_and_vectors(draw):
+    M = low_degree(draw(st.one_of(matrices_with_repeated_factors(), substitution_matrices())))
+    b = draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=M.dim, max_size=M.dim))
+    assume(any(b))
+    return M, b
+
+
+JORDAN_2 = IntMatrix(((1, 1), (0, 1)))
+JORDAN_3 = IntMatrix(((2, 1, 0), (0, 2, 1), (0, 0, 2)))
+JORDAN_2_AND_MINUS_1 = IntMatrix(((1, 1, 0), (0, 1, 0), (0, 0, -1)))
+# a substitution whose characteristic polynomial has a repeated root
+REPEATED_ROOT = substitution_matrix(parse_substitution("0 -> 0 0 1\n1 -> 0 3 0\n2 -> 2 2 1\n3 -> 2 0 3\n"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices_and_vectors())
+@example((JORDAN_2, [1, 0]))
+@example((JORDAN_3, [1, 0, 0]))
+@example((REPEATED_ROOT, [1, -3, 1, 0]))
+@example((REPEATED_ROOT, [1, -1, 0, 0]))
+@example((JORDAN_2_AND_MINUS_1, [1, 0, 1]))
+def test_j_pr_kappa_matches_projector_reference(case):
+    M, b = case
+    res = j_pr_kappa(M, b)
+    got = (res.j, res.theta, res.theta_modulus_lo, res.theta_modulus_hi, res.pr_b, res.kappa)
+    assert got == reference_j_pr_kappa(M, b)
+    assert all(type(x) is Fraction for x in res.pr_b)
+
+
+@pytest.mark.parametrize(
+    "M, b, j, kappa",
+    [
+        (JORDAN_2, [1, 0], 1, 2),
+        (JORDAN_2, [0, 1], 1, 1),
+        (JORDAN_3, [1, 0, 0], 1, 3),
+        (JORDAN_3, [0, 0, 5], 1, 1),
+        # roots 1 (a Jordan block) and -1 share a modulus class; kappa is the
+        # deeper of their chains
+        (JORDAN_2_AND_MINUS_1, [1, 0, 1], 1, 2),
+        (JORDAN_2_AND_MINUS_1, [0, 1, 1], 1, 1),
+        # ker (M^t)^2 holds (1, -3, 1, 0) and (0, -1/2, 0, 1), which M^t does
+        # not kill: a Jordan chain of the root 0, third after 3 and 2
+        (REPEATED_ROOT, [1, -3, 1, 0], 3, 2),
+        (REPEATED_ROOT, [0, Fraction(-1, 2), 0, 1], 3, 2),
+    ],
+)
+def test_j_pr_kappa_jordan_depth(M, b, j, kappa):
+    # b lies in one generalized eigenspace, so it is its own projection; at
+    # M^t the chain of a Jordan block runs from e_1 to e_n
+    res = j_pr_kappa(M, b)
+    assert (res.j, res.kappa) == (j, kappa)
+    assert res.pr_b == tuple(Fraction(v) for v in b)
+
+
+def test_dimension_fit_builds_no_projector(count_calls):
+    calls = count_calls(
+        (eigen_module._factor_projectors, exactlin_module.poly_at_int_matrix),
+        lambda: dimension_fit(load("bijective_nonabelian"), (1, -1, 0, 0), K=729, L=10**4),
+    )
+    assert calls == {"_factor_projectors": 0, "poly_at_int_matrix": 0}
+
+
+def test_j_pr_kappa_rejects_a_wrong_factorization(monkeypatch):
+    # without the factor x - 3 no cofactor sees the Perron vector of M^t
+    real = factor_integer_poly
+    monkeypatch.setattr(eigen_module, "factor_integer_poly", lambda coeffs: real(coeffs)[1:])
+    with pytest.raises(RuntimeError, match="must see it"):
+        j_pr_kappa(S("bijective_nonabelian"), [1, 1, 1, 1])
+    # (x - 1)^2 listed as x - 1 twice multiplies back to char(M), but the
+    # class of x - 1 is then not coprime to its complement
+    monkeypatch.setattr(eigen_module, "factor_integer_poly", lambda coeffs: [((1, -1), 1), ((1, -1), 1)])
+    with pytest.raises(RuntimeError, match="not coprime"):
+        j_pr_kappa(JORDAN_2, [1, 0])
+    # a factor that does not divide char(M)
+    monkeypatch.setattr(eigen_module, "factor_integer_poly", lambda coeffs: [((1, -4), 1)] + real(coeffs)[1:])
+    with pytest.raises(RuntimeError, match="does not divide"):
+        j_pr_kappa(S("bijective_nonabelian"), [1, 1, 1, 1])
+
+
+def test_j_pr_kappa_certifies_the_projection(monkeypatch):
+    # with a Bezout cofactor twice too large, D n - p is not in ker H(A)
+    real = eigen_module.poly_gcdex
+
+    def wrong(a, b):
+        s, t, g = real(a, b)
+        return s, tuple(2 * c for c in t), g
+
+    monkeypatch.setattr(eigen_module, "poly_gcdex", wrong)
+    with pytest.raises(RuntimeError, match="certificate"):
+        j_pr_kappa(S("bijective_nonabelian"), [1, -1, 0, 0])
+    # with the common denominator D taken as 1, E = D e is truncated
+    # (e = x^3/4 - x^2 + 5x/4 - 1/2 for the class of 3) and p leaves ker G(A)
+    monkeypatch.undo()
+    monkeypatch.setattr(eigen_module, "lcm", lambda *args: 1)
+    with pytest.raises(RuntimeError, match="certificate"):
+        j_pr_kappa(S("bijective_nonabelian"), [-1, -1, -1, 0])
+    # here the truncated p still has D n - p in ker H(A), and only
+    # G(A) p = 0 fails (e = -x^2/3 + 2x/3 + 1 for the class of 2)
+    with pytest.raises(RuntimeError, match="certificate"):
+        j_pr_kappa(IntMatrix(((3, 1, 1), (0, 1, 2), (0, 1, 0))), [0, -1, 0])

@@ -316,7 +316,10 @@ def test_dimension_fit_signed_indicator():
     assert len(fit.radii) == len(fit.masses) == len(fit.corrected_masses)
 
 
-@pytest.mark.parametrize("f", [(1j, -1, 0, 0), (1, -1, 0), ("x", 1, 0, 0)])
+@pytest.mark.parametrize(
+    "f",
+    [(1j, -1, 0, 0), (1, -1, 0), ("x", 1, 0, 0), (float("inf"), -1, 0, 0), (float("nan"), -1, 0, 0)],
+)
 def test_dimension_fit_checks_f_before_counting(f, count_calls):
     calls = count_calls((_lag_counts,), lambda: pytest.raises(ValueError, dimension_fit, EX61, f, K=729, L=10**5))
     assert calls == {"_lag_counts": 0}

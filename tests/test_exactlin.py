@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import substrum.exactlin as exactlin
 from substrum.core import Alphabet, IntMatrix, Substitution, substitution_matrix
 from substrum.exactlin import (
     char_poly_coeffs,
@@ -57,6 +58,30 @@ def cyclotomic_product(n):
 )
 def test_factor_integer_poly_explicit(coeffs):
     assert factor_integer_poly(coeffs) == sympy_factors(coeffs)
+
+
+@pytest.mark.parametrize(
+    "coeffs, berlekamp_runs",
+    [
+        ((1, -5, 6), 0),  # (x - 2)(x - 3): discriminant 1, a square
+        ((1, 1, -6), 0),  # (x - 2)(x + 3): discriminant 25, odd b
+        ((1, 0, -2), 0),  # discriminant 8, not a square
+        ((1, -2, 2), 0),  # discriminant -4
+        ((1, 0, 1), 0),  # discriminant -4, b = 0
+        ((1, 0, 0, -2), 1),  # no integer root: irreducible
+        ((1, 1, 1, 1), 1),  # one integer root: (x + 1)(x^2 + 1)
+        ((1, -2, -2, 4), 1),  # one integer root: (x - 2)(x^2 - 2)
+        ((1, -6, 11, -6), 1),  # three integer roots: (x - 1)(x - 2)(x - 3)
+        ((1, 0, -7, 6), 1),  # three integer roots: (x - 1)(x - 2)(x + 3)
+    ],
+)
+def test_factor_low_degree_matches_sympy(coeffs, berlekamp_runs, count_calls):
+    # a squarefree quadratic is decided by its discriminant, a squarefree
+    # cubic by one good prime
+    got = []
+    calls = count_calls((exactlin._berlekamp,), lambda: got.append(factor_integer_poly(coeffs)))
+    assert got[0] == sympy_factors(coeffs)
+    assert calls == {"_berlekamp": berlekamp_runs}
 
 
 monic = st.integers(1, 6).flatmap(
