@@ -35,7 +35,6 @@ from .eigen import (
     char_poly,
     eigenvalue_classes,
     eigenvalues,
-    factor_projectors,
     has_modulus_sqrt_q,
     j_pr_kappa,
     second_eigenvalue_below_sqrt_q,

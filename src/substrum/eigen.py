@@ -24,15 +24,12 @@ so this module works exactly:
   sqrt(q): exactly for q-reciprocal factors (one root of each off-circle
   pair (x, q/x) lies outside), and for every other factor from certified
   enclosures, refined until each clears sqrt(q), which it must, since no
-  root of such a factor lies on the circle;
-* generalized eigenprojections are exact rational idempotents obtained from
-  Bezout identities between coprime factors of the characteristic
-  polynomial.
+  root of such a factor lies on the circle.
 
 All of the exact algebra (characteristic polynomials, factorization over
-Z, gcds, Bezout identities) comes from `exactlin`, in plain integers and
-fractions.  sympy is imported only to isolate the roots of irreducible
-factors of degree >= 3, on first use.
+Z, gcds, Bezout identities) comes from `exactlin`, in plain integers.
+sympy is imported only to isolate the roots of irreducible factors of
+degree >= 3, on first use.
 
 The elimination data (j, pr, kappa) of a rational vector b — the index of
 the first eigenvalue class that sees b, the projection of b onto that class,
@@ -42,15 +39,16 @@ factor F^e of char, the cofactor char / F^e applied to b is nonzero
 exactly when F sees b, and F(M^t) acts on F's generalized eigenspace as an
 invertible multiple of the nilpotent part, so Jordan depth is the number of
 times F(M^t) can be applied before that vector vanishes.  The projection
-comes from one Bezout identity for the whole class, and is certified by
-checking that its two parts lie in the two complementary kernels.
+comes from one integer Bezout identity for the whole class, and is
+certified by checking that its two parts lie in the two complementary
+kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from math import sqrt as _fsqrt
 from typing import Optional, Sequence
 
@@ -59,7 +57,6 @@ from .exactlin import (
     _derivative,
     char_poly_coeffs,
     factor_integer_poly,
-    poly_at_int_matrix,
     poly_divmod,
     poly_gcd,
     poly_gcdex,
@@ -70,7 +67,6 @@ from .exactlin import (
 __all__ = [
     "CharPoly",
     "EigenvalueRecord",
-    "Projector",
     "SqrtQResult",
     "JPRKappa",
     "PrecisionError",
@@ -79,7 +75,6 @@ __all__ = [
     "eigenvalue_classes",
     "has_modulus_sqrt_q",
     "second_eigenvalue_below_sqrt_q",
-    "factor_projectors",
     "j_pr_kappa",
 ]
 
@@ -554,83 +549,14 @@ def _outside_sqrt_q(root: dict, q: int) -> Optional[bool]:
 
 
 # ---------------------------------------------------------------------------
-# Exact generalized eigenprojections and elimination data
+# Exact elimination data
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Projector:
-    """Exact rational projector onto the generalized eigenspace of M^t for
-    one irreducible factor of the characteristic polynomial."""
-
-    factor: tuple[int, ...]
-    multiplicity: int
-    matrix: tuple[tuple[Fraction, ...], ...]
-
 
 def _power(fac: tuple[int, ...], e: int) -> tuple[int, ...]:
     out = (1,)
     for _ in range(e):
         out = poly_mul(out, fac)
     return out
-
-
-def factor_projectors(M: IntMatrix) -> tuple[Projector, ...]:
-    """Exact rational idempotents P_F = e_F(M^t), one per irreducible factor.
-
-    For char(M) = prod F_i^{e_i} the quotient algebra Q[x]/(char) splits by
-    the Chinese Remainder Theorem; the idempotent e_i is 1 mod F_i^{e_i} and
-    0 mod the complement, computed from a Bezout identity.  The projectors
-    satisfy P_i^2 = P_i, sum P_i = I, and commute with M^t — verified
-    exactly here on every call (the matrices are small).
-    """
-    coeffs = char_poly_coeffs(M)
-    return _factor_projectors(M, coeffs, factor_integer_poly(coeffs))
-
-
-def _factor_projectors(M: IntMatrix, coeffs, factors) -> tuple[Projector, ...]:
-    """factor_projectors from char(M)'s coefficients and factorization.
-
-    Each idempotent is e_F = E_F / D_F with an integer polynomial E_F and a
-    positive integer D_F, so P_F = E_F(M^t) / D_F with E_F(M^t) an integer
-    matrix.  The identities are checked in integers: E_F^2 = D_F E_F,
-    M^t E_F = E_F M^t, and sum_F (D/D_F) E_F = D I for D = lcm(D_F).
-    """
-    Mt = M.transpose()
-    n = M.dim
-    scaled = []  # (factor, multiplicity, E_F(M^t), D_F)
-    for fac, mult in factors:
-        G = _power(fac, mult)
-        H, rem = poly_divmod(coeffs, G)
-        if rem:
-            raise RuntimeError(f"factor {fac}^{mult} does not divide the characteristic polynomial")
-        _s, t, g = poly_gcdex(G, H)
-        if g != (1,):
-            raise RuntimeError(f"factor {fac}^{mult} is not coprime to its complement")
-        e = poly_divmod(poly_mul(t, H), coeffs)[1]
-        D = lcm(*(c.denominator for c in e))
-        E = poly_at_int_matrix([int(c * D) for c in e], Mt)
-        if E.matmul(E).entries != tuple(tuple(D * x for x in row) for row in E.entries):
-            raise RuntimeError(f"projector for factor {fac} is not idempotent")
-        if Mt.matmul(E) != E.matmul(Mt):
-            raise RuntimeError(f"projector for factor {fac} does not commute with M^t")
-        scaled.append((fac, mult, E, D))
-
-    D_all = lcm(*(D for *_, D in scaled))
-    total = [[0] * n for _ in range(n)]
-    for *_, E, D in scaled:
-        for r in range(n):
-            for c in range(n):
-                total[r][c] += E.entries[r][c] * (D_all // D)
-    if any(total[r][c] != (D_all if r == c else 0) for r in range(n) for c in range(n)):
-        raise RuntimeError("projectors do not sum to the identity")
-    return tuple(
-        Projector(
-            factor=fac,
-            multiplicity=mult,
-            matrix=tuple(tuple(Fraction(x, D) for x in row) for row in E.entries),
-        )
-        for fac, mult, E, D in scaled
-    )
 
 
 @dataclass(frozen=True)
@@ -694,11 +620,13 @@ def j_pr_kappa(M: IntMatrix, b: Sequence) -> JPRKappa:
     factor sees b, and kappa is the largest kappa_F over the factors with a
     root in that modulus class.
 
-    pr(b) is E(A)·n / (D·d) for G = prod F^e over the class's factors,
-    H = char / G, and E = D·(t·H mod char) from one Bezout identity
-    s·G + t·H = 1.  It is certified exactly: G(A)·p = 0 and
-    H(A)·(D·n - p) = 0 for p = E(A)·n, and Q^m = ker G(A) + ker H(A) is a
-    direct sum, so p is D times the projection of n onto ker G(A).
+    pr(b) is E(A)·n / (D·d) for G = prod F^e over the class's factors and
+    H = char / G.  The integer Bezout identity s·G + t·H = r, with r a
+    nonzero constant, gives the idempotent E / D = (t·H mod char) / r,
+    reduced to lowest terms with D > 0.  It is certified exactly:
+    G(A)·p = 0 and H(A)·(D·n - p) = 0 for p = E(A)·n, and
+    Q^m = ker G(A) + ker H(A) is a direct sum, so p is D times the
+    projection of n onto ker G(A).
     """
     bvec = tuple(Fraction(v) for v in b)
     if all(v == 0 for v in bvec):
@@ -731,12 +659,13 @@ def j_pr_kappa(M: IntMatrix, b: Sequence) -> JPRKappa:
         for fac in class_factors:
             G = poly_mul(G, _power(fac, mult[fac]))
         H = _cofactor(coeffs, G)
-        _s, t, g = poly_gcdex(G, H)
-        if g != (1,):
+        _s, t, r = poly_gcdex(G, H)
+        if len(r) != 1:
             raise RuntimeError(f"the factors {class_factors} are not coprime to their complement")
-        e = poly_divmod(poly_mul(t, H), coeffs)[1]
-        D = lcm(*(c.denominator for c in e))
-        p = _poly_times_vector([int(c * D) for c in e], rows, n)
+        E = poly_divmod(poly_mul(t, H), coeffs)[1]
+        g = gcd(*r, *E) if r[0] > 0 else -gcd(*r, *E)
+        D = r[0] // g
+        p = _poly_times_vector([c // g for c in E], rows, n)
         if any(_poly_times_vector(G, rows, p)) or any(
             _poly_times_vector(H, rows, [D * x - y for x, y in zip(n, p)])
         ):

@@ -7,17 +7,21 @@ Python ints and fractions.Fraction:
   division-free algorithm;
 * polynomials as tuples of coefficients, leading coefficient first (the
   zero polynomial is the empty tuple): products, division with remainder
-  (exact over Z by a monic divisor), monic gcds and extended gcds over Q;
+  (exact over Z by a monic divisor), and monic gcds and Bezout identities
+  from one integer pseudo-division: the extended gcd carries integer
+  cofactors through a primitive pseudo-remainder sequence, so
+  s·a + t·b = r holds in integers, with r an integer multiple of the gcd;
 * irreducible factorization over Z: Yun's squarefree decomposition, then
-  each squarefree part on its own: a quadratic splits iff its
-  discriminant is a perfect square, and a higher degree goes through
-  Zassenhaus's algorithm (Berlekamp modulo a small prime, Hensel lifting
-  above twice the Mignotte bound, recombination by exact trial division),
-  with the first good prime at degree 3 and the best of three above;
+  each squarefree part on its own: every integer root, a divisor of the
+  constant term inside Fujiwara's root bound, splits off a linear factor.
+  Below degree 4 what is left is irreducible, since a reducible monic
+  polynomial of degree <= 3 has a linear factor; from degree 4 it goes
+  through Zassenhaus's algorithm (Berlekamp modulo the best of three small
+  primes, Hensel lifting above twice the Mignotte bound, recombination by
+  exact trial division);
 * one rational row reduction behind nullspaces, ranks, solves and
   inverses;
-* integer polynomials evaluated at integer matrices, and rational interval
-  enclosures of square roots.
+* rational interval enclosures of square roots.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ __all__ = [
     "poly_divmod",
     "poly_gcd",
     "poly_gcdex",
-    "poly_at_int_matrix",
     "rational_nullspace",
     "rational_rank",
     "rational_solve",
@@ -44,8 +47,8 @@ __all__ = [
     "sqrt_interval",
 ]
 
-# good primes whose Berlekamp factorizations are compared above degree 3;
-# the one with the fewest factors keeps recombination short
+# good primes whose Berlekamp factorizations are compared; the one with the
+# fewest factors keeps recombination short
 _GOOD_PRIMES_TRIED = 3
 
 
@@ -142,18 +145,26 @@ def poly_divmod(a: Sequence, b: Sequence) -> tuple[tuple, tuple]:
     return tuple(quo), _trim(rem[max(nq, 0) :])
 
 
-def _prem(a, b) -> tuple:
-    """Pseudo-remainder of a by b: the remainder of lc(b)^(deg a - deg b + 1) a, in integers."""
+def _pseudo_divmod(a, b) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Pseudo-division of integer polynomials: (c, quo, rem) with
+    c·a = quo·b + rem in integers and deg rem < deg b, for
+    c = lc(b)^(deg a - deg b + 1) (c = 1 when deg a < deg b).
+
+    Over Q the k-th quotient coefficient of a by b has a denominator that
+    divides lc(b)^(k+1), so scaling a by c makes every division by lc(b)
+    exact.
+    """
     lead = b[0]
-    rem = list(a)
-    for i in range(len(a) - len(b) + 1):
-        c = rem[i]
-        if lead != 1:
-            rem = [x * lead for x in rem]
+    steps = max(len(a) - len(b) + 1, 0)
+    c = lead**steps
+    rem = [c * x for x in a]
+    quo = []
+    for i in range(steps):
+        coef = rem[i] // lead
+        quo.append(coef)
         for j in range(1, len(b)):
-            rem[i + j] -= c * b[j]
-        rem[i] = 0
-    return _trim(rem)
+            rem[i + j] -= coef * b[j]
+    return c, tuple(quo), _trim(rem[steps:])
 
 
 def _primitive(a) -> tuple:
@@ -173,7 +184,7 @@ def poly_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     if not ((a and a[0] == 1) or (b and b[0] == 1)):
         raise ValueError("poly_gcd needs a monic argument")
     while b:
-        a, b = b, _primitive(_prem(a, b))
+        a, b = b, _primitive(_pseudo_divmod(a, b)[2])
     a = _primitive(a)
     if a[0] < 0:
         a = tuple(-x for x in a)
@@ -182,45 +193,32 @@ def poly_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return a
 
 
-def poly_gcdex(a: Sequence, b: Sequence) -> tuple[tuple, tuple, tuple]:
-    """(s, t, g) over Q with s·a + t·b = g, the monic gcd of a and b.
+def poly_gcdex(a: Sequence[int], b: Sequence[int]) -> tuple[tuple, tuple, tuple]:
+    """Integer (s, t, r) with s·a + t·b = r, a nonzero constant multiple of gcd(a, b).
 
-    Extended Euclid with Fraction coefficients; deg s < deg b - deg g and
-    deg t < deg a - deg g when both inputs are nonconstant.
+    Euclid's algorithm on pseudo-remainders, carrying the cofactors: each
+    step replaces the pair (r0, r1) by (r1, c·r0 - quo·r1), with
+    `_pseudo_divmod`'s c and quo, updates the cofactors of a and b the same
+    way, and divides the new remainder and its cofactors by the gcd of all
+    their coefficients.  r is the last nonzero remainder; when a or b is
+    monic, gcd(a, b) is a monic integer polynomial and r = lc(r)·gcd(a, b).
+    deg s < deg b - deg r and deg t < deg a - deg r when both inputs are
+    nonconstant.
     """
-    r0, r1 = _trim(tuple(Fraction(c) for c in a)), _trim(tuple(Fraction(c) for c in b))
+    r0, r1 = _trim(a), _trim(b)
     if not (r0 or r1):
         raise ValueError("gcd of two zero polynomials")
-    s0, s1 = (Fraction(1),), ()
-    t0, t1 = (), (Fraction(1),)
+    s0, s1 = (1,), ()
+    t0, t1 = (), (1,)
     while r1:
-        quo, rem = poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _sub(s0, poly_mul(quo, s1))
-        t0, t1 = t1, _sub(t0, poly_mul(quo, t1))
-    lead = r0[0]
-    return (
-        tuple(c / lead for c in s0),
-        tuple(c / lead for c in t0),
-        tuple(c / lead for c in r0),
-    )
-
-
-def poly_at_int_matrix(coeffs: Sequence[int], M: IntMatrix) -> IntMatrix:
-    """Evaluate an integer polynomial (leading coefficient first) at an integer matrix.
-
-    Horner scheme in exact integer arithmetic.
-    """
-    n = M.dim
-    acc = IntMatrix(tuple(tuple(coeffs[0] if r == c else 0 for c in range(n)) for r in range(n)))
-    for coeff in coeffs[1:]:
-        acc = IntMatrix(
-            tuple(
-                tuple(x + coeff if r == c else x for c, x in enumerate(row))
-                for r, row in enumerate(acc.matmul(M).entries)
-            )
-        )
-    return acc
+        c, quo, rem = _pseudo_divmod(r0, r1)
+        s = _sub(tuple(c * x for x in s0), poly_mul(quo, s1))
+        t = _sub(tuple(c * x for x in t0), poly_mul(quo, t1))
+        g = gcd(*rem, *s, *t)
+        r0, r1 = r1, tuple(x // g for x in rem)
+        s0, s1 = s1, tuple(x // g for x in s)
+        t0, t1 = t1, tuple(x // g for x in t)
+    return s0, t0, r0
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +232,7 @@ def factor_integer_poly(coeffs: Sequence[int]) -> list[tuple[tuple[int, ...], in
     Returns [(factor_coeffs_leading_first, multiplicity), ...] with monic
     integer factors, sorted deterministically (by degree, then coefficients).
     Powers of x are split off first, Yun's algorithm splits the rest into
-    squarefree parts, and Zassenhaus's algorithm factors each part.  The
+    squarefree parts, and `_factor_squarefree` factors each part.  The
     product of the factors is checked against the input exactly.
     """
     f = target = tuple(int(c) for c in coeffs)
@@ -248,7 +246,7 @@ def factor_integer_poly(coeffs: Sequence[int]) -> list[tuple[tuple[int, ...], in
         out.append(((1, 0), zeros))
         f = f[: len(f) - zeros]
     for part, mult in _squarefree_parts(f):
-        out.extend((fac, mult) for fac in _zassenhaus(part))
+        out.extend((fac, mult) for fac in _factor_squarefree(part))
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     product = (1,)
     for fac, mult in out:
@@ -283,27 +281,54 @@ def _squarefree_parts(f: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
     return parts
 
 
+def _factor_squarefree(f: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Monic irreducible factors over Z of a monic squarefree f with f(0) != 0.
+
+    An integer root r of f divides f(0) and has |r| within `_root_bound`,
+    so trying those divisors splits off every linear factor x - r.  What
+    is left has no linear factor over Z, so below degree 4 it is
+    irreducible: a reducible monic polynomial of degree 2 or 3 has a monic
+    linear factor over Z, by Gauss's lemma.
+    """
+    found = []
+    bound = min(_root_bound(f), abs(f[-1]))
+    for root in (x for r in range(1, bound + 1) for x in (r, -r)):
+        if len(f) == 2:
+            break
+        if f[-1] % root == 0:
+            quo, rem = poly_divmod(f, (1, -root))
+            if not rem:
+                found.append((1, -root))
+                f = quo
+    return found + ([f] if len(f) <= 4 else _zassenhaus(f))
+
+
+def _root_bound(f: tuple[int, ...]) -> int:
+    """Fujiwara's bound 2·max_k |a_k|^(1/k) on the moduli of the roots of a
+    monic f = x^n + a_1 x^(n-1) + ... + a_n, with each k-th root rounded up
+    to an integer."""
+    return 2 * max(_ceil_root(abs(a), k) for k, a in enumerate(f[1:], 1))
+
+
+def _ceil_root(a: int, k: int) -> int:
+    """The least integer r >= 0 with r^k >= a, for an integer a >= 0."""
+    if a == 0:
+        return 0
+    r = 1 << -(-a.bit_length() // k)  # r^k >= 2^bit_length > a
+    # integer Newton steps from above fall to floor(a^(1/k)) and stop there
+    while (s := ((k - 1) * r + a // r ** (k - 1)) // k) < r:
+        r = s
+    return r if r**k == a else r + 1
+
+
 def _zassenhaus(f: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Monic irreducible factors over Z of a monic squarefree f with f(0) != 0."""
+    """Monic irreducible factors over Z of a monic squarefree f of degree >= 4
+    with f(0) != 0."""
     n = len(f) - 1
-    if n == 1:
-        return [f]
-    if n == 2:
-        # x^2 + b x + c splits over Z iff b^2 - 4c is a square s^2 (never
-        # when it is negative); then b and s have the same parity and the
-        # roots (-b +- s)/2 are integers
-        b, c = f[1], f[2]
-        disc = b * b - 4 * c
-        s = isqrt(abs(disc))
-        if s * s != disc:
-            return [f]
-        return [(1, (b - s) // 2), (1, (b + s) // 2)]
     best = None
     tried = 0
     p = 1
-    # below degree 4 recombination tries at most 3 subsets, so one good
-    # prime is enough
-    while tried < (1 if n <= 3 else _GOOD_PRIMES_TRIED):
+    while tried < _GOOD_PRIMES_TRIED:
         p = _next_prime(p)
         fp = _mod_trim(f, p)
         if len(_gcd_mod(fp, _mod_trim(_derivative(f), p), p)) != 1:

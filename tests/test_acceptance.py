@@ -23,7 +23,7 @@ from substrum.core import (
 )
 from substrum.corpus import CORPUS, load
 from substrum.decomposition import decompose_lambda, extreme_points_Q, letter_frequencies
-from substrum.eigen import char_poly, eigenvalues, factor_projectors
+from substrum.eigen import char_poly, eigenvalues, j_pr_kappa
 from substrum.estimator import (
     _lag_counts,
     birkhoff_growth,
@@ -209,41 +209,30 @@ def test_criterion_5_dimension_estimates(capsys):
         assert time.perf_counter() - start <= 120.0
 
 
-def _exact_matmul(A, B):
-    n = len(A)
-    return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+def _transpose_times(S, v):
+    """S^t v for the substitution matrix S."""
+    return tuple(sum(S[j, i] * x for j, x in enumerate(v)) for i in range(S.dim))
 
 
-def test_criterion_6_stability_checks(capsys):
+def test_criterion_6_stability_checks(capsys, reference_j_pr_kappa):
     with criterion(capsys, 6, "renormalization and invariance"):
-        # spectral projectors of the bijective example, exact arithmetic
+        # exact elimination data of the bijective example: peeled off class
+        # by class, each projection of f equals the sympy-built reference,
+        # projects to itself and commutes with M^t (every eigenvalue is
+        # nonzero), and leaves a rest that only later classes see; the
+        # projections sum to f
         z = load("bijective_nonabelian")
         S = substitution_matrix(z)
-        n = S.dim
-        Mt = tuple(
-            tuple(Fraction(S[j, i]) for j in range(n)) for i in range(n)
-        )
-        projectors = factor_projectors(S)
-        mats = [p.matrix for p in projectors]
-        ident = tuple(
-            tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
-        )
-        total = mats[0]
-        for P in mats[1:]:
-            total = tuple(
-                tuple(total[i][j] + P[i][j] for j in range(n)) for i in range(n)
-            )
-        assert total == ident
-        for P in mats:
-            assert _exact_matmul(P, P) == P
-            assert _exact_matmul(P, Mt) == _exact_matmul(Mt, P)
-        for i, P in enumerate(mats):
-            for Q in mats[i + 1:]:
-                zero = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
-                assert _exact_matmul(P, Q) == zero
+        for f in ((1, -1, 0, 0), (1, 1, 1, 1), (-1, -1, -1, 0)):
+            rest, last_j = tuple(Fraction(v) for v in f), 0
+            while any(rest):
+                res = j_pr_kappa(S, rest)
+                got = (res.j, res.theta, res.theta_modulus_lo, res.theta_modulus_hi, res.pr_b, res.kappa)
+                assert got == reference_j_pr_kappa(S, rest)
+                assert j_pr_kappa(S, res.pr_b).pr_b == res.pr_b
+                assert j_pr_kappa(S, _transpose_times(S, rest)).pr_b == _transpose_times(S, res.pr_b)
+                assert res.j > last_j
+                rest, last_j = tuple(x - y for x, y in zip(rest, res.pr_b)), res.j
 
         # empirical correlations renormalize like the bisubstitution says
         dev61 = renormalization_check(z, K=1000, L=10**7)

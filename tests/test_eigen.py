@@ -1,5 +1,6 @@
 """Exact eigenvalue machinery: characteristic polynomials, certified
-enclosures, the modulus-sqrt(q) test, and the projector calculus."""
+enclosures, the modulus-sqrt(q) test, and the elimination data
+(j, pr, kappa) against a sympy reference."""
 
 import math
 import time
@@ -7,22 +8,17 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import substrum.eigen as eigen_module
-import substrum.exactlin as exactlin_module
 from substrum.core import Alphabet, IntMatrix, Substitution, parse_substitution, substitution_matrix
-from substrum.corpus import CORPUS, load
-from substrum.estimator import dimension_fit
+from substrum.corpus import load
 from substrum.exactlin import char_poly_coeffs, factor_integer_poly, poly_mul
 from substrum.eigen import (
     char_poly,
-    eigenvalue_classes,
     eigenvalue_multiset,
     eigenvalues,
-    factor_projectors,
     has_modulus_sqrt_q,
     j_pr_kappa,
     second_eigenvalue_below_sqrt_q,
@@ -244,89 +240,6 @@ def test_second_eigenvalue_with_a_quartic_on_the_circle():
     assert time.perf_counter() - t0 < 1.0
 
 
-# ---------------------------------------------------------------------------
-# Projector calculus (all identities exact, over Q)
-# ---------------------------------------------------------------------------
-
-def _matmul(A, B):
-    n = len(A)
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-@pytest.mark.parametrize("name", ["bijective_nonabelian", "rudin_shapiro", "height_two"])
-def test_factor_projectors_identities(name):
-    M = S(name)
-    n = M.dim
-    projectors = factor_projectors(M)
-    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    # projectors live on the transposed matrix (the side cylindrical
-    # coefficient vectors transform on)
-    Mt = [[Fraction(M[j, i]) for j in range(n)] for i in range(n)]
-
-    total = [[Fraction(0)] * n for _ in range(n)]
-    for P in projectors:
-        rows = [list(r) for r in P.matrix]
-        # idempotent
-        assert _matmul(rows, rows) == rows
-        # commutes with M^t
-        assert _matmul(rows, Mt) == _matmul(Mt, rows)
-        for i in range(n):
-            for j in range(n):
-                total[i][j] += rows[i][j]
-    for Q in projectors:
-        for R in projectors:
-            if Q is not R:
-                zero = _matmul(Q.matrix, R.matrix)
-                assert all(x == 0 for row in zero for x in row)
-    # partition of unity
-    assert total == identity
-
-
-def _fraction_horner(coeffs, A):
-    n = len(A)
-    acc = [[coeffs[0] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for c in coeffs[1:]:
-        acc = _matmul(acc, A)
-        for i in range(n):
-            acc[i][i] += c
-    return acc
-
-
-def reference_projectors(M):
-    """(factor, multiplicity, P) per factor, from expression-level sympy.gcdex
-    and a Horner scheme over Fractions, independently of the integer path."""
-    x = sympy.Symbol("x")
-    coeffs = char_poly_coeffs(M)
-    char = sympy.Poly(list(coeffs), x, domain="QQ")
-    Mt = [[Fraction(v) for v in row] for row in M.transpose().entries]
-    out = []
-    for fac, mult in factor_integer_poly(coeffs):
-        G = sympy.Poly(list(fac), x, domain="QQ") ** mult
-        H, rem = sympy.div(char, G)
-        assert rem.is_zero
-        _s, t, g = sympy.gcdex(G.as_expr(), H.as_expr(), x)
-        assert sympy.simplify(g - 1) == 0
-        e = (sympy.Poly(t, x, domain="QQ") * H) % char
-        P = _fraction_horner([Fraction(int(c.p), int(c.q)) for c in e.all_coeffs()], Mt)
-        out.append((fac, mult, P))
-    return out
-
-
-def assert_projectors_match_reference(M):
-    projectors = factor_projectors(M)
-    got = [(p.factor, p.multiplicity, [list(row) for row in p.matrix]) for p in projectors]
-    assert got == reference_projectors(M)
-    assert all(type(x) is Fraction for p in projectors for row in p.matrix for x in row)
-
-
-@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
-def test_factor_projectors_match_reference_on_corpus(entry):
-    assert_projectors_match_reference(substitution_matrix(entry.substitution()))
-
-
 @st.composite
 def matrices_with_repeated_factors(draw):
     """[[A, C], [0, A]], whose characteristic polynomial is char(A)^2; C
@@ -337,21 +250,6 @@ def matrices_with_repeated_factors(draw):
     C = [[draw(st.integers(-1, 1)) for _ in range(n)] for _ in range(n)]
     rows = [A[i] + C[i] for i in range(n)] + [[0] * n + A[i] for i in range(n)]
     return IntMatrix(tuple(tuple(row) for row in rows))
-
-
-@settings(max_examples=40, deadline=None)
-@given(matrices_with_repeated_factors())
-def test_factor_projectors_match_reference_with_repeated_factors(M):
-    assert_projectors_match_reference(M)
-
-
-def test_factor_projectors_check_partition_of_unity(monkeypatch):
-    # a factorization missing the factor x - 3 leaves projectors that are
-    # idempotent and commute with M^t but no longer sum to the identity
-    real = factor_integer_poly
-    monkeypatch.setattr(eigen_module, "factor_integer_poly", lambda coeffs: real(coeffs)[1:])
-    with pytest.raises(RuntimeError, match="identity"):
-        factor_projectors(S("bijective_nonabelian"))
 
 
 def test_j_pr_kappa_factors_once(monkeypatch):
@@ -393,41 +291,8 @@ def test_j_pr_kappa_rejects_zero():
 
 
 # ---------------------------------------------------------------------------
-# Elimination data from matrix-vector products, against the projectors
+# Elimination data from matrix-vector products, against a sympy reference
 # ---------------------------------------------------------------------------
-
-def reference_j_pr_kappa(M, b):
-    """(j, theta, modulus enclosure, pr_b, kappa) from the public factor
-    projectors: j is the first position of the descending-modulus multiset
-    whose factor's projector sees b, pr_b sums the projections of b onto the
-    factors of that modulus class, and kappa counts how many times the
-    product of those factors, at M^t, applies before pr_b vanishes."""
-    b = [Fraction(v) for v in b]
-    seen = {P.factor: [sum(a * v for a, v in zip(row, b)) for row in P.matrix] for P in factor_projectors(M)}
-    Mt = [[Fraction(v) for v in row] for row in M.transpose().entries]
-    pos = 0
-    for cls in eigenvalue_classes(M):
-        hits = []
-        for rec in cls:
-            if any(seen[rec.factor]):
-                hits.append((pos + 1, rec))
-            pos += rec.multiplicity
-        if not hits:
-            continue
-        j, rec = hits[0]
-        class_factors = list(dict.fromkeys(r.factor for r in cls))
-        pr_b = [sum(col) for col in zip(*(seen[fac] for fac in class_factors))]
-        f_cls = (1,)
-        for fac in class_factors:
-            f_cls = poly_mul(f_cls, fac)
-        A = _fraction_horner([Fraction(c) for c in f_cls], Mt)
-        kappa, v = 0, pr_b
-        while any(v):
-            kappa += 1
-            v = [sum(a * x for a, x in zip(row, v)) for row in A]
-        return j, rec.value, rec.modulus_lo, rec.modulus_hi, tuple(pr_b), kappa
-    raise AssertionError("no projector sees a nonzero b")
-
 
 def low_degree(M):
     """M when every irreducible factor of char(M) has degree <= 2, whose
@@ -468,7 +333,7 @@ REPEATED_ROOT = substitution_matrix(parse_substitution("0 -> 0 0 1\n1 -> 0 3 0\n
 @example((REPEATED_ROOT, [1, -3, 1, 0]))
 @example((REPEATED_ROOT, [1, -1, 0, 0]))
 @example((JORDAN_2_AND_MINUS_1, [1, 0, 1]))
-def test_j_pr_kappa_matches_projector_reference(case):
+def test_j_pr_kappa_matches_projector_reference(reference_j_pr_kappa, case):
     M, b = case
     res = j_pr_kappa(M, b)
     got = (res.j, res.theta, res.theta_modulus_lo, res.theta_modulus_hi, res.pr_b, res.kappa)
@@ -501,14 +366,6 @@ def test_j_pr_kappa_jordan_depth(M, b, j, kappa):
     assert res.pr_b == tuple(Fraction(v) for v in b)
 
 
-def test_dimension_fit_builds_no_projector(count_calls):
-    calls = count_calls(
-        (eigen_module._factor_projectors, exactlin_module.poly_at_int_matrix),
-        lambda: dimension_fit(load("bijective_nonabelian"), (1, -1, 0, 0), K=729, L=10**4),
-    )
-    assert calls == {"_factor_projectors": 0, "poly_at_int_matrix": 0}
-
-
 def test_j_pr_kappa_rejects_a_wrong_factorization(monkeypatch):
     # without the factor x - 3 no cofactor sees the Perron vector of M^t
     real = factor_integer_poly
@@ -531,19 +388,25 @@ def test_j_pr_kappa_certifies_the_projection(monkeypatch):
     real = eigen_module.poly_gcdex
 
     def wrong(a, b):
-        s, t, g = real(a, b)
-        return s, tuple(2 * c for c in t), g
+        s, t, r = real(a, b)
+        return s, tuple(2 * c for c in t), r
 
     monkeypatch.setattr(eigen_module, "poly_gcdex", wrong)
     with pytest.raises(RuntimeError, match="certificate"):
         j_pr_kappa(S("bijective_nonabelian"), [1, -1, 0, 0])
-    # with the common denominator D taken as 1, E = D e is truncated
-    # (e = x^3/4 - x^2 + 5x/4 - 1/2 for the class of 3) and p leaves ker G(A)
+    # with D taken as 1, E = t·H mod char is floor-divided by r, so E is
+    # truncated (E / r = x^3/4 - x^2 + 5x/4 - 1/2 for the class of 3) and p
+    # leaves ker G(A)
     monkeypatch.undo()
-    monkeypatch.setattr(eigen_module, "lcm", lambda *args: 1)
+    monkeypatch.setattr(eigen_module, "gcd", lambda *args: abs(args[0]))
     with pytest.raises(RuntimeError, match="certificate"):
         j_pr_kappa(S("bijective_nonabelian"), [-1, -1, -1, 0])
-    # here the truncated p still has D n - p in ker H(A), and only
-    # G(A) p = 0 fails (e = -x^2/3 + 2x/3 + 1 for the class of 2)
+    # E / r = -x^2/3 + 2x/3 + 1 for the class of 2 truncates to -x^2 + 1:
+    # p stays in ker G(A), and D n - p leaves ker H(A)
     with pytest.raises(RuntimeError, match="certificate"):
         j_pr_kappa(IntMatrix(((3, 1, 1), (0, 1, 2), (0, 1, 0))), [0, -1, 0])
+    # here E / r = (x^2 - x - 1)/5 for the class of -2 truncates to -x - 1,
+    # which differs from it by (x + 2)^2 / 5: D n - p stays in ker H(A), and
+    # only G(A) p = 0 fails
+    with pytest.raises(RuntimeError, match="certificate"):
+        j_pr_kappa(IntMatrix(((1, -1, 2), (0, -1, 1), (1, 0, -1))), [1, 1, 1])

@@ -63,25 +63,35 @@ def test_factor_integer_poly_explicit(coeffs):
 @pytest.mark.parametrize(
     "coeffs, berlekamp_runs",
     [
-        ((1, -5, 6), 0),  # (x - 2)(x - 3): discriminant 1, a square
-        ((1, 1, -6), 0),  # (x - 2)(x + 3): discriminant 25, odd b
-        ((1, 0, -2), 0),  # discriminant 8, not a square
-        ((1, -2, 2), 0),  # discriminant -4
-        ((1, 0, 1), 0),  # discriminant -4, b = 0
-        ((1, 0, 0, -2), 1),  # no integer root: irreducible
-        ((1, 1, 1, 1), 1),  # one integer root: (x + 1)(x^2 + 1)
-        ((1, -2, -2, 4), 1),  # one integer root: (x - 2)(x^2 - 2)
-        ((1, -6, 11, -6), 1),  # three integer roots: (x - 1)(x - 2)(x - 3)
-        ((1, 0, -7, 6), 1),  # three integer roots: (x - 1)(x - 2)(x + 3)
+        ((1, -5, 6), 0),  # two integer roots: (x - 2)(x - 3)
+        ((1, 1, -6), 0),  # two integer roots: (x - 2)(x + 3)
+        ((1, 0, -2), 0),  # no integer root: irreducible
+        ((1, -2, 2), 0),  # no integer root, complex roots
+        ((1, 0, 1), 0),  # no integer root, b = 0
+        ((1, 0, 0, -2), 0),  # no integer root: irreducible
+        ((1, 1, 1, 1), 0),  # one integer root: (x + 1)(x^2 + 1)
+        ((1, -2, -2, 4), 0),  # one integer root: (x - 2)(x^2 - 2)
+        ((1, -6, 11, -6), 0),  # three integer roots: (x - 1)(x - 2)(x - 3)
+        ((1, 0, -7, 6), 0),  # three integer roots: (x - 1)(x - 2)(x + 3)
+        ((1, 1, -1, 1, -2), 0),  # two integer roots: (x - 1)(x + 2)(x^2 + 1)
     ],
 )
 def test_factor_low_degree_matches_sympy(coeffs, berlekamp_runs, count_calls):
-    # a squarefree quadratic is decided by its discriminant, a squarefree
-    # cubic by one good prime
+    # every integer root splits off a linear factor, and what is left below
+    # degree 4 is irreducible with no Berlekamp run
     got = []
     calls = count_calls((exactlin._berlekamp,), lambda: got.append(factor_integer_poly(coeffs)))
     assert got[0] == sympy_factors(coeffs)
     assert calls == {"_berlekamp": berlekamp_runs}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**40), st.integers(1, 12))
+def test_ceil_root_is_the_least_integer_bound(a, k):
+    # the integer-root search relies on r^k >= a; r - 1 must fall short
+    r = exactlin._ceil_root(a, k)
+    assert r**k >= a
+    assert r == 0 or (r - 1) ** k < a
 
 
 monic = st.integers(1, 6).flatmap(
@@ -139,19 +149,20 @@ def test_char_poly_matches_sympy(M):
 
 
 @settings(max_examples=60, deadline=None)
-@given(monic, st.lists(st.integers(-20, 20), min_size=1, max_size=7), st.integers(1, 3))
-def test_gcds_match_sympy(a, b, shared_power):
-    # a common factor a^k makes most gcds nonconstant
+@given(monic, st.lists(st.integers(-20, 20), min_size=1, max_size=7), monic, st.integers(0, 2))
+def test_gcds_match_sympy(a, b, common, shared_power):
+    # a common factor common^k makes most gcds nonconstant; b is not monic,
+    # so the remainder sequence needs pseudo-division
     for _ in range(shared_power):
-        b = poly_mul(b, a)
+        a, b = poly_mul(a, common), poly_mul(b, common)
     A, B = sympy.Poly(list(a), X), sympy.Poly(list(b), X)
     g = poly_gcd(a, b)
     assert g == tuple(int(c) for c in sympy.gcd(A, B).monic().all_coeffs())
-    s, t, h = poly_gcdex(a, b)
-    assert h == g
-    S = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in s] or [0], X)
-    T = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in t] or [0], X)
-    assert (S * A + T * B).monic() == sympy.Poly(list(g), X, domain="QQ")
+    s, t, r = poly_gcdex(a, b)
+    assert all(type(c) is int for c in s + t + r)
+    S, T, R = (sympy.Poly(list(p) or [0], X, domain="ZZ") for p in (s, t, r))
+    assert S * A + T * B == R
+    assert r == tuple(r[0] * c for c in g)
 
 
 def to_sympy(rows):

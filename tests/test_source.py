@@ -52,3 +52,26 @@ def test_package_draws_no_random_numbers():
             if any(n in ("random", "numpy.random", "np.random") for n in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+
+def test_every_name_in_all_exists():
+    # a name left in __all__ after its definition is gone breaks
+    # `from module import *` and misleads readers of the public API
+    missing = []
+    for path in sorted(Path(substrum.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defined, exported = set(), []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                defined.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+                defined.update(names)
+                if "__all__" in names:
+                    exported = ast.literal_eval(node.value)
+        missing += [f"{path.name}:{name}" for name in exported if name not in defined]
+    assert missing == []
