@@ -664,8 +664,8 @@ def j_pr_kappa(M: IntMatrix, b: Sequence) -> JPRKappa:
             raise RuntimeError(f"the factors {class_factors} are not coprime to their complement")
         E = poly_divmod(poly_mul(t, H), coeffs)[1]
         g = gcd(*r, *E) if r[0] > 0 else -gcd(*r, *E)
-        D = r[0] // g
-        p = _poly_times_vector([c // g for c in E], rows, n)
+        E, D = [c // g for c in E], r[0] // g
+        p = _poly_times_vector(E, rows, n)
         if any(_poly_times_vector(G, rows, p)) or any(
             _poly_times_vector(H, rows, [D * x - y for x, y in zip(n, p)])
         ):

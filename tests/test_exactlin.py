@@ -151,8 +151,8 @@ def test_char_poly_matches_sympy(M):
 @settings(max_examples=60, deadline=None)
 @given(monic, st.lists(st.integers(-20, 20), min_size=1, max_size=7), monic, st.integers(0, 2))
 def test_gcds_match_sympy(a, b, common, shared_power):
-    # a common factor common^k makes most gcds nonconstant; b is not monic,
-    # so the remainder sequence needs pseudo-division
+    # a common factor common^k makes most gcds nonconstant; b is seldom
+    # monic, so the remainder sequence needs pseudo-division
     for _ in range(shared_power):
         a, b = poly_mul(a, common), poly_mul(b, common)
     A, B = sympy.Poly(list(a), X), sympy.Poly(list(b), X)

@@ -54,7 +54,6 @@ def test_package_draws_no_random_numbers():
     assert found == []
 
 
-
 def test_every_name_in_all_exists():
     # a name left in __all__ after its definition is gone breaks
     # `from module import *` and misleads readers of the public API
