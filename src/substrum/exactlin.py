@@ -12,13 +12,14 @@ Python ints and fractions.Fraction:
   cofactors through a primitive pseudo-remainder sequence, so
   s·a + t·b = r holds in integers, with r an integer multiple of the gcd;
 * irreducible factorization over Z: Yun's squarefree decomposition, then
-  each squarefree part on its own: every integer root, a divisor of the
-  constant term inside Fujiwara's root bound, splits off a linear factor.
-  Below degree 4 what is left is irreducible, since a reducible monic
-  polynomial of degree <= 3 has a linear factor; from degree 4 it goes
-  through Zassenhaus's algorithm (Berlekamp modulo the best of three small
-  primes, Hensel lifting above twice the Mignotte bound, recombination by
-  exact trial division);
+  each squarefree part on its own: every integer root splits off a linear
+  factor, found from a root modulo a small prime by Newton lifting past
+  twice Fujiwara's root bound, in time that grows with the bound's bit
+  length only.  Below degree 4 what is left is irreducible, since a
+  reducible monic polynomial of degree <= 3 has a linear factor; from
+  degree 4 it goes through Zassenhaus's algorithm (Berlekamp modulo the
+  best of three small primes, Hensel lifting above twice the Mignotte
+  bound, recombination by exact trial division);
 * one rational row reduction behind nullspaces, ranks, solves and
   inverses;
 * rational interval enclosures of square roots.
@@ -27,7 +28,7 @@ Python ints and fractions.Fraction:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd, isqrt
 from typing import Sequence
 
@@ -284,41 +285,61 @@ def _squarefree_parts(f: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
 def _factor_squarefree(f: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Monic irreducible factors over Z of a monic squarefree f with f(0) != 0.
 
-    An integer root r of f divides f(0) and has |r| within `_root_bound`,
-    so trying those divisors splits off every linear factor x - r.  What
-    is left has no linear factor over Z, so below degree 4 it is
-    irreducible: a reducible monic polynomial of degree 2 or 3 has a monic
-    linear factor over Z, by Gauss's lemma.
+    Every linear factor x - r is split off first.  Modulo the first prime p
+    that keeps f squarefree, each root of f is simple, so Newton's iteration
+    lifts it to a unique root modulo p^(2^j); once that modulus exceeds
+    twice `_root_bound`, the root's symmetric residue is the only integer
+    root it can come from, and an exact division decides.  What is left has
+    no linear factor over Z, so below degree 4 it is irreducible: a
+    reducible monic polynomial of degree 2 or 3 has a monic linear factor
+    over Z, by Gauss's lemma.
     """
+    if len(f) == 2:
+        return [f]
     found = []
-    bound = min(_root_bound(f), abs(f[-1]))
-    for root in (x for r in range(1, bound + 1) for x in (r, -r)):
-        if len(f) == 2:
+    rest = f
+    p = next(_good_primes(f))
+    df = _derivative(f)
+    bound = _root_bound(f)
+    for r in range(p):
+        if len(rest) == 2:
             break
-        if f[-1] % root == 0:
-            quo, rem = poly_divmod(f, (1, -root))
-            if not rem:
-                found.append((1, -root))
-                f = quo
-    return found + ([f] if len(f) <= 4 else _zassenhaus(f))
+        if _horner(f, r) % p:
+            continue
+        m = p
+        while m <= 2 * bound:
+            m *= m
+            r = (r - _horner(f, r) * pow(_horner(df, r), -1, m)) % m
+        root = r - m if 2 * r > m else r
+        quo, rem = poly_divmod(rest, (1, -root))
+        if not rem:
+            found.append((1, -root))
+            rest = quo
+    return found + ([rest] if len(rest) <= 4 else _zassenhaus(rest))
+
+
+def _horner(f, x: int) -> int:
+    """f(x) in integers."""
+    acc = 0
+    for c in f:
+        acc = acc * x + c
+    return acc
 
 
 def _root_bound(f: tuple[int, ...]) -> int:
     """Fujiwara's bound 2·max_k |a_k|^(1/k) on the moduli of the roots of a
-    monic f = x^n + a_1 x^(n-1) + ... + a_n, with each k-th root rounded up
-    to an integer."""
-    return 2 * max(_ceil_root(abs(a), k) for k, a in enumerate(f[1:], 1))
+    monic f = x^n + a_1 x^(n-1) + ... + a_n, with each |a_k|^(1/k) replaced
+    by the power of two 2^ceil(b/k) above it, b the bit length of a_k."""
+    return 2 * max(1 << -(-abs(a).bit_length() // k) for k, a in enumerate(f[1:], 1))
 
 
-def _ceil_root(a: int, k: int) -> int:
-    """The least integer r >= 0 with r^k >= a, for an integer a >= 0."""
-    if a == 0:
-        return 0
-    r = 1 << -(-a.bit_length() // k)  # r^k >= 2^bit_length > a
-    # integer Newton steps from above fall to floor(a^(1/k)) and stop there
-    while (s := ((k - 1) * r + a // r ** (k - 1)) // k) < r:
-        r = s
-    return r if r**k == a else r + 1
+def _good_primes(f: tuple[int, ...]):
+    """The primes, in increasing order, modulo which the monic f stays squarefree."""
+    p = 1
+    while True:
+        p = _next_prime(p)
+        if len(_gcd_mod(_mod_trim(f, p), _mod_trim(_derivative(f), p), p)) == 1:
+            yield p
 
 
 def _zassenhaus(f: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -326,15 +347,8 @@ def _zassenhaus(f: tuple[int, ...]) -> list[tuple[int, ...]]:
     with f(0) != 0."""
     n = len(f) - 1
     best = None
-    tried = 0
-    p = 1
-    while tried < _GOOD_PRIMES_TRIED:
-        p = _next_prime(p)
-        fp = _mod_trim(f, p)
-        if len(_gcd_mod(fp, _mod_trim(_derivative(f), p), p)) != 1:
-            continue  # f is not squarefree modulo p
-        tried += 1
-        factors = _berlekamp(fp, p)
+    for p in islice(_good_primes(f), _GOOD_PRIMES_TRIED):
+        factors = _berlekamp(_mod_trim(f, p), p)
         if len(factors) == 1:
             return [f]
         if best is None or len(factors) < len(best[1]):

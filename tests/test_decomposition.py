@@ -2,6 +2,7 @@
 cylindrical decomposition of spectral measures."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -113,6 +114,20 @@ def test_extreme_points_unsupported_without_rational_eigenbasis(rules, k):
     z = parse_substitution(rules)
     assert ergodic_classes(z).k == k
     ep = extreme_points_Q(z)
+    assert ep.method == "unsupported"
+    assert ep.points == ()
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_extreme_points_unsupported_on_long_cycles_in_time(k):
+    # the generic combination of the k associated matrices weighs them by
+    # powers up to 27^6, so at k = 6 its characteristic polynomial has a
+    # root near 3.9e8; factoring it must not take time that grows with it
+    z = parse_substitution("\n".join(f"{a} -> {(a + 1) % k} {a}" for a in range(k)))
+    assert ergodic_classes(z).k == k
+    start = time.perf_counter()
+    ep = extreme_points_Q(z)
+    assert time.perf_counter() - start < 5.0
     assert ep.method == "unsupported"
     assert ep.points == ()
 

@@ -1,5 +1,6 @@
 """Exact integer and rational algebra, checked against sympy as a reference."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,7 @@ def test_factor_integer_poly_explicit(coeffs):
         ((1, -6, 11, -6), 0),  # three integer roots: (x - 1)(x - 2)(x - 3)
         ((1, 0, -7, 6), 0),  # three integer roots: (x - 1)(x - 2)(x + 3)
         ((1, 1, -1, 1, -2), 0),  # two integer roots: (x - 1)(x + 2)(x^2 + 1)
+        ((1, 30, -551, 344), 0),  # (x + 43)(x^2 - 13x + 8): a root beyond half the root bound
     ],
 )
 def test_factor_low_degree_matches_sympy(coeffs, berlekamp_runs, count_calls):
@@ -85,13 +87,22 @@ def test_factor_low_degree_matches_sympy(coeffs, berlekamp_runs, count_calls):
     assert calls == {"_berlekamp": berlekamp_runs}
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 10**40), st.integers(1, 12))
-def test_ceil_root_is_the_least_integer_bound(a, k):
-    # the integer-root search relies on r^k >= a; r - 1 must fall short
-    r = exactlin._ceil_root(a, k)
-    assert r**k >= a
-    assert r == 0 or (r - 1) ** k < a
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (1, 10**9, 10**9 + 3),  # no integer root, a root near -10^9
+        poly_mul((1, -(10**9 + 7)), (1, 10**9 + 9)),  # two integer roots near 10^9
+        poly_mul(poly_mul((1, -(10**9 + 7)), (1, 999999937)), (1, 0, -2 * 10**18)),
+        (1, 0, 0, -2 * 10**27),  # no integer root, a real root near 1.26e9
+    ],
+    ids=["quadratic_1e9", "two_roots_1e9", "quartic_1e9", "cubic_1e9"],
+)
+def test_factor_integer_poly_time_does_not_grow_with_the_roots(coeffs):
+    # trying the candidate integer roots one by one would take minutes here
+    start = time.perf_counter()
+    got = factor_integer_poly(coeffs)
+    assert time.perf_counter() - start < 1.0
+    assert got == sympy_factors(coeffs)
 
 
 monic = st.integers(1, 6).flatmap(
@@ -106,6 +117,15 @@ def test_factor_integer_poly_matches_sympy_on_products(parts):
     for f, mult in parts:
         for _ in range(mult):
             coeffs = poly_mul(coeffs, f)
+    assert factor_integer_poly(coeffs) == sympy_factors(coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-(10**12), 10**12).filter(bool), min_size=1, max_size=5, unique=True), monic)
+def test_factor_integer_poly_finds_large_integer_roots(roots, f):
+    coeffs = f
+    for r in roots:
+        coeffs = poly_mul(coeffs, (1, -r))
     assert factor_integer_poly(coeffs) == sympy_factors(coeffs)
 
 
