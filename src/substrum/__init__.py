@@ -30,7 +30,6 @@ from .eigen import (
     CharPoly,
     EigenvalueRecord,
     JPRKappa,
-    PrecisionError,
     SqrtQResult,
     char_poly,
     eigenvalue_classes,

@@ -166,7 +166,9 @@ def classify(z: Substitution) -> SpectralVerdict:
 
     reasons = ["NoSqrtQEigenvalue"]
     detail = "no eigenvalue of the substitution matrix has modulus sqrt(q), hence the spectrum is singular"
-    if _second_eigenvalue_below_sqrt_q(factors, q):
+    # the root data isolated for theta_2 serve analysis_report's eigenvalues
+    evidence["roots"] = roots = {}
+    if _second_eigenvalue_below_sqrt_q(factors, q, roots):
         reasons.append("SecondEigenvalueSmall")
         detail += "; moreover the second-largest eigenvalue modulus is certified below sqrt(q)"
     return SpectralVerdict(

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 malformed input (unreadable file, DSL parse error,
-bad flag values), 3 classifier precondition failure, 4 exhausted resource or
-precision budget.  stdout carries exactly one report (JSON, or the purebase
+bad flag values), 3 classifier precondition failure, 4 exhausted resource
+budget.  stdout carries exactly one report (JSON, or the purebase
 text form); everything else goes to stderr.
 """
 
@@ -25,7 +25,7 @@ from .core import (
     substitution_matrix,
 )
 from .corpus import write_corpus
-from .eigen import PrecisionError, _eigenvalue_classes, _has_modulus_sqrt_q
+from .eigen import _eigenvalue_classes, _has_modulus_sqrt_q
 from .estimator import DEFAULT_LAGS, DEFAULT_PREFIX, dimension_fit
 from .exactlin import char_poly_coeffs, factor_integer_poly
 from .reduction import pure_base
@@ -290,9 +290,6 @@ def main(argv=None) -> int:
         return exc.code
     except ResourceBudgetError as exc:
         print(f"substrum: budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except PrecisionError as exc:
-        print(f"substrum: precision budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 
 

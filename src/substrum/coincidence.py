@@ -26,7 +26,6 @@ from .core import (
     IntMatrix,
     Substitution,
     _boolean_product,
-    _support_rows,
     constant_length,
     is_primitive,
     substitution_matrix,
@@ -151,13 +150,17 @@ def _ergodic_classes(z: Substitution) -> ErgodicClassification:
         pa.pair(i) for i in range(n) if labels[i] not in terminal
     )
 
-    C = coincidence_matrix(z)
-    stabilizing = _stabilizing_power(C, class_indices)
+    # support rows of the coincidence matrix: bit p2 of row p is set iff p
+    # occurs in the image of p2
+    support = [0] * n
+    for p2, image in enumerate(zz.images):
+        for p in image:
+            support[p] |= 1 << p2
     return ErgodicClassification(
         classes=classes,
         transitive=trans,
         k=len(classes),
-        stabilizing_power=stabilizing,
+        stabilizing_power=_stabilizing_power(support, class_indices),
     )
 
 
@@ -195,8 +198,10 @@ def _strong_components(z: Substitution) -> list[int]:
     return labels
 
 
-def _stabilizing_power(C: IntMatrix, class_indices: list[list[int]]) -> Optional[int]:
-    """Least j with every class block of C^j entrywise positive.
+def _stabilizing_power(B: list[int], class_indices: list[list[int]]) -> Optional[int]:
+    """Least j with every class block of C^j entrywise positive, for the
+    coincidence matrix C with support rows B (bit c of row r set iff
+    C[r, c] > 0).
 
     Columns indexed by a class have support inside the class, so the block
     of C^j is the j-th power of the block of C; positivity only depends on
@@ -206,8 +211,7 @@ def _stabilizing_power(C: IntMatrix, class_indices: list[list[int]]) -> Optional
     can never become positive later); n(n+1) stays as a hard cap,
     dominating the Wielandt bound for every block.
     """
-    n = C.dim
-    B = _support_rows(C)
+    n = len(B)
     P = B
     blocks = [(cls, sum(1 << i for i in cls)) for cls in class_indices]
     seen = set()

@@ -11,7 +11,13 @@ so this module works exactly:
 * eigenvalues are grouped by irreducible factor over Z, with rigorous
   rational enclosures of each root's modulus (rational and quadratic roots
   get closed forms; higher-degree factors use certified isolating
-  rectangles);
+  rectangles), each at most 2^-128 wide;
+* eigenvalues are then grouped into modulus classes, the connected
+  components of the overlapping modulus enclosures.  The descending order
+  of the classes is certified, since consecutive classes have disjoint
+  enclosures.  Equal modulus inside a class is not: it means that the
+  128-bit enclosures overlap, which is not a proof (ROADMAP.md, item 2,
+  plans a root-separation bound that would decide it exactly);
 * the sqrt(q) test is exact at every factor degree.  A root with
   |lambda|^2 = q has conj(lambda) = q/lambda, so it is +-sqrt(q) or a root
   of a q-reciprocal factor F(x) = x^d T(x + q/x); the roots of such an F on
@@ -69,7 +75,6 @@ __all__ = [
     "EigenvalueRecord",
     "SqrtQResult",
     "JPRKappa",
-    "PrecisionError",
     "char_poly",
     "eigenvalues",
     "eigenvalue_classes",
@@ -78,13 +83,8 @@ __all__ = [
     "j_pr_kappa",
 ]
 
-# starting precision of root enclosures, doubled until they separate
+# precision of root enclosures: their width is at most 2^-_PRECISION_BITS
 _PRECISION_BITS = 128
-_MAX_PRECISION_BITS = 4096
-
-
-class PrecisionError(RuntimeError):
-    """Root enclosures could not be separated at the maximum precision."""
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,10 @@ class EigenvalueRecord:
     `value` is an approximation for display (exact when the root is
     rational); `modulus_lo <= |value| <= modulus_hi` is rigorous, and
     `modulus_sq_exact` is set when |value|^2 is known exactly as a rational
-    (rational roots, sqrt-type quadratics, complex quadratic pairs).
+    (rational roots, sqrt-type quadratics, complex quadratic pairs).  Two
+    records share a modulus class when their enclosures are linked by a
+    chain of overlaps; that orders the classes rigorously, but is not a
+    proof that the moduli inside one class are equal.
     """
 
     value: complex
@@ -257,78 +260,58 @@ def _roots_of_factor(factor: tuple[int, ...], bits: int) -> list[dict]:
     return out
 
 
-def _same_modulus(r1: EigenvalueRecord, r2: EigenvalueRecord, tol: Fraction) -> Optional[bool]:
-    """True/False when decidable, None when enclosures are too close to call."""
-    if r1.modulus_sq_exact is not None and r2.modulus_sq_exact is not None:
-        return r1.modulus_sq_exact == r2.modulus_sq_exact
-    if r1.modulus_lo > r2.modulus_hi + tol or r2.modulus_lo > r1.modulus_hi + tol:
-        return False
-    if r1.modulus_lo <= r2.modulus_hi and r2.modulus_lo <= r1.modulus_hi:
-        # two enclosures of the same algebraic modulus always overlap, since
-        # both contain the true value
-        return True
-    return None
+def _group_by_modulus(records: list[EigenvalueRecord]) -> tuple[tuple[EigenvalueRecord, ...], ...]:
+    """Partition records into descending modulus classes in one sweep.
 
-
-def _group_by_modulus(records: list[EigenvalueRecord], bits: int):
-    """Partition records into descending modulus classes; None if ambiguous."""
-    n = len(records)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    tol = Fraction(1, 2 ** max(bits // 2, 16))
-    for i in range(n):
-        for j in range(i + 1, n):
-            same = _same_modulus(records[i], records[j], tol)
-            if same is None:
-                return None
-            if same:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[EigenvalueRecord]] = {}
-    for i, r in enumerate(records):
-        groups.setdefault(find(i), []).append(r)
-    classes = sorted(groups.values(), key=lambda g: -min(r.modulus_lo for r in g))
-    # consecutive classes must be separated rigorously for the ordering to
-    # mean anything
-    for a, b in zip(classes, classes[1:]):
-        if not min(r.modulus_lo for r in a) > max(r.modulus_hi for r in b):
-            return None
+    In order of descending modulus_hi, a record opens a new class when its
+    modulus_hi lies below the least modulus_lo of the current class, and
+    joins that class otherwise.  The classes are then the connected
+    components of the overlapping enclosures (touching endpoints overlap),
+    so consecutive classes are disjoint and in certified order.  Exact
+    values of |lambda|^2 are integers, and two different ones below 2^250
+    cannot have overlapping 128-bit enclosures, so a class that holds two
+    of them is an error.
+    """
+    classes: list[list[EigenvalueRecord]] = []
+    for r in sorted(records, key=lambda r: -r.modulus_hi):
+        if classes and r.modulus_hi >= floor:
+            classes[-1].append(r)
+            floor = min(floor, r.modulus_lo)
+        else:
+            classes.append([r])
+            floor = r.modulus_lo
     for cls in classes:
+        if len({r.modulus_sq_exact for r in cls} - {None}) > 1:
+            raise RuntimeError(f"different exact moduli share one class: {cls}")
         cls.sort(key=lambda r: (-r.value.real, -r.value.imag))
-    return [tuple(cls) for cls in classes]
+    return tuple(tuple(cls) for cls in classes)
 
 
 def eigenvalue_classes(M: IntMatrix) -> tuple[tuple[EigenvalueRecord, ...], ...]:
-    """Eigenvalues of M grouped into certified descending-modulus classes.
+    """Eigenvalues of M grouped into descending-modulus classes.
 
-    Each class is a tuple of records sharing one modulus; consecutive classes
-    have rigorously separated modulus enclosures.  Raises PrecisionError if
-    separation cannot be certified at the maximum precision.
+    Each class is a tuple of records whose modulus enclosures overlap, in a
+    chain; consecutive classes have rigorously separated enclosures, so
+    their order is certified.  Equal modulus inside a class is not: it means
+    overlapping 128-bit enclosures (see `_group_by_modulus`).
     """
     return _eigenvalue_classes(factor_integer_poly(char_poly_coeffs(M)))
 
 
-def _eigenvalue_classes(factors):
-    """eigenvalue_classes from the factorization [(factor, multiplicity), ...]."""
-    bits = _PRECISION_BITS
-    while True:
-        records: list[EigenvalueRecord] = []
-        for idx, (fac, mult) in enumerate(factors):
-            for root in _roots_of_factor(fac, bits):
-                records.append(
-                    EigenvalueRecord(multiplicity=mult, factor=fac, factor_index=idx, **root)
-                )
-        classes = _group_by_modulus(records, bits)
-        if classes is not None:
-            return tuple(classes)
-        if bits >= _MAX_PRECISION_BITS:
-            raise PrecisionError("modulus enclosures cannot be ordered at maximum precision")
-        bits *= 2
+def _eigenvalue_classes(factors, roots=None):
+    """eigenvalue_classes from the factorization [(factor, multiplicity), ...].
+
+    `roots` maps factors to root data that a caller already has from
+    `_roots_of_factor` at _PRECISION_BITS; only the other factors are
+    isolated here.
+    """
+    roots = roots or {}
+    records = [
+        EigenvalueRecord(multiplicity=mult, factor=fac, factor_index=idx, **root)
+        for idx, (fac, mult) in enumerate(factors)
+        for root in (roots[fac] if fac in roots else _roots_of_factor(fac, _PRECISION_BITS))
+    ]
+    return _group_by_modulus(records)
 
 
 def eigenvalues(M: IntMatrix) -> tuple[EigenvalueRecord, ...]:
@@ -510,17 +493,19 @@ def second_eigenvalue_below_sqrt_q(M: IntMatrix, q: int) -> bool:
     (multiplicities counted), so |theta_2| < sqrt(q) iff at most one root,
     counted with multiplicity, has modulus at least sqrt(q).
     """
-    return _second_eigenvalue_below_sqrt_q(factor_integer_poly(char_poly_coeffs(M)), q)
+    return _second_eigenvalue_below_sqrt_q(factor_integer_poly(char_poly_coeffs(M)), q, {})
 
 
-def _second_eigenvalue_below_sqrt_q(factors, q: int) -> bool:
+def _second_eigenvalue_below_sqrt_q(factors, q: int, roots: dict) -> bool:
     """second_eigenvalue_below_sqrt_q from the factorization of char(M).
 
     A q-reciprocal factor of degree 2d with 2c roots on the circle has
     exactly d + c roots of modulus >= sqrt(q): its other roots pair up as
     (x, q/x).  Every other factor has |x|^2 = q only at x = +-sqrt(q),
     where its modulus is exact, and is otherwise compared to sqrt(q) by
-    enclosures, at doubling precision while one straddles sqrt(q).
+    enclosures, at doubling precision while one straddles sqrt(q).  The
+    first pass, at _PRECISION_BITS, is stored in `roots` (factor -> root
+    data), for `_eigenvalue_classes` to reuse.
     """
     count = 0
     for fac, mult in factors:
@@ -529,8 +514,10 @@ def _second_eigenvalue_below_sqrt_q(factors, q: int) -> bool:
             count += mult * (len(T) - 1 + len(_band_roots(T, q)))
         else:
             bits = _PRECISION_BITS
-            while None in (outside := [_outside_sqrt_q(r, q) for r in _roots_of_factor(fac, bits)]):
+            roots[fac] = data = _roots_of_factor(fac, bits)
+            while None in (outside := [_outside_sqrt_q(r, q) for r in data]):
                 bits *= 2
+                data = _roots_of_factor(fac, bits)
             count += mult * sum(outside)
         if count > 1:
             return False

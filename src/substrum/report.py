@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .coincidence import ErgodicClassification, _ergodic_classes
 from .core import Substitution, constant_length, substitution_matrix
-from .eigen import EigenvalueRecord, PrecisionError, _eigenvalue_classes, eigenvalue_multiset
+from .eigen import EigenvalueRecord, _eigenvalue_classes, eigenvalue_multiset
 from .exactlin import char_poly_coeffs, factor_integer_poly, poly_mul
 from .reduction import compute_height
 
@@ -149,17 +149,15 @@ def analysis_report(
     S = substitution_matrix(z)
     ev = verdict.evidence
 
-    # classify's characteristic polynomial and factorization, unless it
-    # stopped before them (a failed precondition or a Dekking verdict)
+    # classify's characteristic polynomial, factorization and theta_2 root
+    # data, unless it stopped before them (a failed precondition, a Dekking
+    # verdict or a sqrt(q) eigenvalue)
     if "factors" in ev:
         coeffs, factors = ev["coeffs"], ev["factors"]
     else:
         coeffs = char_poly_coeffs(S)
         factors = factor_integer_poly(coeffs)
-    try:
-        eigen_records = [r for cls in _eigenvalue_classes(factors) for r in cls]
-    except PrecisionError:
-        eigen_records = None
+    eigen_records = [r for cls in _eigenvalue_classes(factors, ev.get("roots")) for r in cls]
 
     # classify's height, and its classes of the pure base, which is z at height 1
     height = ev.get("height")
@@ -176,7 +174,7 @@ def analysis_report(
         "input": substitution_payload(z, path),
         "matrix": [list(row) for row in S.entries],
         "char_poly": list(coeffs),
-        "eigenvalues": None if eigen_records is None else _eigenvalue_payload(eigen_records),
+        "eigenvalues": _eigenvalue_payload(eigen_records),
         "height": height_payload,
         "pure_base": _pure_base_payload(ev["pure_base"]) if "pure_base" in ev else None,
         "classes": classes_payload,

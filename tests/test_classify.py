@@ -278,3 +278,22 @@ def test_verdicts_do_not_group_eigenvalues_by_modulus(name, count_calls):
     calls = count_calls(counted, lambda: verdicts.append(classify(load(name))))
     assert verdicts[0].reasons[0] == "NoSqrtQEigenvalue"
     assert calls == {"_eigenvalue_classes": 0, "_group_by_modulus": 0}
+
+
+def test_analyze_isolates_each_factor_once(monkeypatch):
+    # classify's theta_2 test isolates the roots of x^3 - x + 2, and the
+    # analysis report reuses them rather than isolating the cubic again
+    eigen = importlib.import_module("substrum.eigen")
+    real, calls = eigen._roots_of_factor, []
+
+    def counting(factor, bits):
+        calls.append(factor)
+        return real(factor, bits)
+
+    monkeypatch.setattr(eigen, "_roots_of_factor", counting)
+    z = parse_substitution("0 -> 0 3\n1 -> 2 0\n2 -> 1 1\n3 -> 3 2\n")
+    verdict = classify(z)
+    assert verdict.verdict == "Singular"
+    report = analysis_report(z, verdict)
+    assert len(report["eigenvalues"]) == 4
+    assert calls.count((1, 0, -1, 2)) == 1

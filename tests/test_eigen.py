@@ -16,6 +16,7 @@ from substrum.core import Alphabet, IntMatrix, Substitution, parse_substitution,
 from substrum.corpus import load
 from substrum.exactlin import char_poly_coeffs, factor_integer_poly, poly_mul
 from substrum.eigen import (
+    EigenvalueRecord,
     char_poly,
     eigenvalue_multiset,
     eigenvalues,
@@ -238,6 +239,50 @@ def test_second_eigenvalue_with_a_quartic_on_the_circle():
     t0 = time.perf_counter()
     assert second_eigenvalue_below_sqrt_q(companion(poly_mul((1, -2), (1, 1, 3, 2, 4))), 2) is False
     assert time.perf_counter() - t0 < 1.0
+
+
+def record(lo, hi, value=None, exact=None):
+    """A hand-made eigenvalue record with modulus enclosure [lo, hi]."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    return EigenvalueRecord(
+        value=complex(float(hi)) if value is None else value,
+        multiplicity=1,
+        factor=(1,),
+        factor_index=0,
+        modulus_lo=lo,
+        modulus_hi=hi,
+        modulus_sq_exact=exact,
+        is_real=False,
+        rational_value=None,
+    )
+
+
+def test_group_by_modulus_separates_close_disjoint_enclosures():
+    # disjoint by 2^-100, well inside the 128-bit precision
+    eps = Fraction(1, 2**100)
+    low, high = record(1, 1), record(1 + eps, 1 + 2 * eps)
+    assert eigen_module._group_by_modulus([low, high]) == ((high,), (low,))
+
+
+def test_group_by_modulus_joins_chains_and_touching_enclosures():
+    # the first and last enclosures are disjoint, but the middle one
+    # overlaps both
+    chain = [record(1, 3), record("5/2", 5), record("9/2", 6)]
+    assert len(eigen_module._group_by_modulus(chain)) == 1
+    touching = [record(1, 2), record(2, 3)]
+    assert len(eigen_module._group_by_modulus(touching)) == 1
+
+
+def test_group_by_modulus_orders_classes_and_records():
+    two = [record(2, 2, value) for value in (-2, 2j, 2, -2j)]
+    one = [record(1, 1, value) for value in (-1, 1)]
+    classes = eigen_module._group_by_modulus(one + two)
+    assert [[r.value for r in cls] for cls in classes] == [[2, 2j, -2j, -2], [1, -1]]
+
+
+def test_group_by_modulus_rejects_different_exact_moduli_in_one_class():
+    with pytest.raises(RuntimeError, match="different exact moduli"):
+        eigen_module._group_by_modulus([record(1, 3, exact=Fraction(4)), record(2, 3, exact=Fraction(5))])
 
 
 @st.composite

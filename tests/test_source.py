@@ -1,6 +1,7 @@
 """Source-level checks on the package."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import substrum
@@ -74,3 +75,31 @@ def test_every_name_in_all_exists():
                     exported = ast.literal_eval(node.value)
         missing += [f"{path.name}:{name}" for name in exported if name not in defined]
     assert missing == []
+
+
+def test_every_exception_class_is_raised():
+    # an exception type that no raise statement reaches is dead API: a
+    # caller's handler for it can never run.  A raise reaches a class by
+    # naming it, or by calling a function that returns an instance of it
+    defined, raised, returned = [], set(), {}
+    exceptions = {name for name, obj in vars(builtins).items() if isinstance(obj, type) and issubclass(obj, BaseException)}
+    for path in sorted(Path(substrum.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(isinstance(b, ast.Name) and b.id in exceptions for b in node.bases):
+                exceptions.add(node.name)
+                defined.append(node.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised.update(n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name))
+            elif isinstance(node, ast.FunctionDef):
+                returned[node.name] = {
+                    n.id
+                    for ret in ast.walk(node)
+                    if isinstance(ret, ast.Return) and ret.value is not None
+                    for n in ast.walk(ret.value)
+                    if isinstance(n, ast.Name)
+                }
+    for name in list(raised):
+        raised |= returned.get(name, set())
+    assert defined and [name for name in defined if name not in raised] == []
