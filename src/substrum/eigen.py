@@ -273,7 +273,7 @@ def _group_by_modulus(records: list[EigenvalueRecord]) -> tuple[tuple[Eigenvalue
     of them is an error.
     """
     classes: list[list[EigenvalueRecord]] = []
-    for r in sorted(records, key=lambda r: -r.modulus_hi):
+    for r in sorted(records, key=lambda r: r.modulus_hi, reverse=True):
         if classes and r.modulus_hi >= floor:
             classes[-1].append(r)
             floor = min(floor, r.modulus_lo)

@@ -82,11 +82,15 @@ def test_every_exception_class_is_raised():
     # caller's handler for it can never run.  A raise reaches a class by
     # naming it, or by calling a function that returns an instance of it
     defined, raised, returned = [], set(), {}
-    exceptions = {name for name, obj in vars(builtins).items() if isinstance(obj, type) and issubclass(obj, BaseException)}
+    exceptions = {
+        name for name, obj in vars(builtins).items() if isinstance(obj, type) and issubclass(obj, BaseException)
+    }
     for path in sorted(Path(substrum.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in tree.body:
-            if isinstance(node, ast.ClassDef) and any(isinstance(b, ast.Name) and b.id in exceptions for b in node.bases):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id in exceptions for b in node.bases
+            ):
                 exceptions.add(node.name)
                 defined.append(node.name)
         for node in ast.walk(tree):
