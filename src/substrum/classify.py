@@ -28,8 +28,7 @@ from typing import Optional
 
 from .coincidence import _ergodic_classes, bijectivity_profile
 from .core import Substitution, constant_length, is_aperiodic_pansiot, is_primitive, substitution_matrix
-from .eigen import _has_modulus_sqrt_q, _second_eigenvalue_below_sqrt_q
-from .exactlin import char_poly_coeffs, factor_integer_poly
+from .eigen import _has_modulus_sqrt_q, _second_eigenvalue_below_sqrt_q, char_poly
 from .reduction import _compute_height, _pure_base
 
 PURELY_DISCRETE = "PurelyDiscrete"
@@ -144,12 +143,9 @@ def classify(z: Substitution) -> SpectralVerdict:
             eigenvalue_group=group,
         )
 
-    # one characteristic polynomial and one factorization serve both tests
-    coeffs = char_poly_coeffs(substitution_matrix(z))
-    factors = factor_integer_poly(coeffs)
-    evidence["coeffs"] = coeffs
-    evidence["factors"] = factors
-    sqrt_q = _has_modulus_sqrt_q(coeffs, factors, q)
+    # one spectral record serves both tests and analysis_report's eigenvalues
+    evidence["char_poly"] = p = char_poly(substitution_matrix(z))
+    sqrt_q = _has_modulus_sqrt_q(p, q)
     evidence["sqrt_q"] = sqrt_q
 
     if sqrt_q.present:
@@ -166,9 +162,7 @@ def classify(z: Substitution) -> SpectralVerdict:
 
     reasons = ["NoSqrtQEigenvalue"]
     detail = "no eigenvalue of the substitution matrix has modulus sqrt(q), hence the spectrum is singular"
-    # the root data isolated for theta_2 serve analysis_report's eigenvalues
-    evidence["roots"] = roots = {}
-    if _second_eigenvalue_below_sqrt_q(factors, q, roots):
+    if _second_eigenvalue_below_sqrt_q(p, q):
         reasons.append("SecondEigenvalueSmall")
         detail += "; moreover the second-largest eigenvalue modulus is certified below sqrt(q)"
     return SpectralVerdict(

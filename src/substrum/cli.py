@@ -25,9 +25,8 @@ from .core import (
     substitution_matrix,
 )
 from .corpus import write_corpus
-from .eigen import _eigenvalue_classes, _has_modulus_sqrt_q
+from .eigen import _has_modulus_sqrt_q, char_poly
 from .estimator import DEFAULT_LAGS, DEFAULT_PREFIX, dimension_fit
-from .exactlin import char_poly_coeffs, factor_integer_poly
 from .reduction import pure_base
 from .report import (
     SCHEMA_VERSION,
@@ -148,13 +147,10 @@ def _cmd_purebase(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     z = _load(args.path)
-    # one characteristic polynomial and one factorization serve both
-    coeffs = char_poly_coeffs(substitution_matrix(z))
-    factors = factor_integer_poly(coeffs)
-    records = [r for cls in _eigenvalue_classes(factors) for r in cls]
+    p = char_poly(substitution_matrix(z))
     q = constant_length(z)
-    sqrt_q = None if q is None else _has_modulus_sqrt_q(coeffs, factors, q)
-    _emit(spectrum_report(z, records, sqrt_q, path=args.path), args)
+    sqrt_q = None if q is None else _has_modulus_sqrt_q(p, q)
+    _emit(spectrum_report(z, p, sqrt_q, path=args.path), args)
     return EXIT_OK
 
 
@@ -176,7 +172,10 @@ def _cmd_estimate_dim(args) -> int:
     rows = ["r,mass,corrected_mass"]
     for r, mass, corr in zip(est.radii, est.masses, est.corrected_masses):
         rows.append(f"{r!r},{mass!r},{corr!r}")
-    out_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    try:
+        out_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise _fail(EXIT_USAGE, f"cannot write {out_path}: {exc}") from exc
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -200,7 +199,10 @@ def _cmd_estimate_dim(args) -> int:
 
 def _cmd_examples(args) -> int:
     directory = Path(args.directory)
-    written = write_corpus(directory)
+    try:
+        written = write_corpus(directory)
+    except OSError as exc:
+        raise _fail(EXIT_USAGE, f"cannot write {directory}: {exc}") from exc
     payload = {
         "schema_version": SCHEMA_VERSION,
         "directory": str(directory),

@@ -456,16 +456,20 @@ def allowed_words(z: Substitution, length: int) -> frozenset[tuple[int, ...]]:
     Seeded with the factors of z^k(a) for every letter a, where k is minimal
     with |z^k(a)| >= length; then closed under taking factors of one-step
     images until stable.  For a primitive substitution the closure is exactly
-    the set of allowed words of that length.
+    the set of allowed words of that length.  A letter whose image stops
+    growing for m steps seeds nothing: each position has then passed m letters
+    with length-1 images, and every later letter is one of them: it never grows.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
     m = z.size
     words: set[tuple[int, ...]] = set()
     for a in range(m):
-        img = (a,)
-        while len(img) < length:
-            img = z.apply(img)
+        img, stalled = (a,), 0
+        while len(img) < length and stalled < m:
+            grown = z.apply(img)
+            stalled = stalled + 1 if len(grown) == len(img) else 0
+            img = grown
         words.update(img[i : i + length] for i in range(len(img) - length + 1))
 
     while True:

@@ -32,10 +32,12 @@ so this module works exactly:
   enclosures, refined until each clears sqrt(q), which it must, since no
   root of such a factor lies on the circle.
 
-All of the exact algebra (characteristic polynomials, factorization over
-Z, gcds, Bezout identities) comes from `exactlin`, in plain integers.
-sympy is imported only to isolate the roots of irreducible factors of
-degree >= 3, on first use.
+Every spectral query here reads one `CharPoly`, the record of a matrix's
+spectral data: its factorization, root data and modulus classes are each
+computed on first use, once per record, so a caller that keeps the record
+(`classify` stores it in its evidence) shares them with later consumers.
+The exact algebra comes from `exactlin`, in plain integers; sympy is
+imported only to isolate the roots of factors of degree >= 3, on first use.
 
 The elimination data (j, pr, kappa) of a rational vector b — the index of
 the first eigenvalue class that sees b, the projection of b onto that class,
@@ -52,7 +54,8 @@ kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import comb, gcd, lcm
 from math import sqrt as _fsqrt
@@ -88,28 +91,6 @@ _PRECISION_BITS = 128
 
 
 @dataclass(frozen=True)
-class CharPoly:
-    """Monic integer polynomial, leading coefficient first."""
-
-    coeffs: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, value):
-        acc = 0
-        for c in self.coeffs:
-            acc = acc * value + c
-        return acc
-
-
-def char_poly(M: IntMatrix) -> CharPoly:
-    """Exact integer characteristic polynomial det(xI - M)."""
-    return CharPoly(char_poly_coeffs(M))
-
-
-@dataclass(frozen=True)
 class EigenvalueRecord:
     """One eigenvalue with a certified modulus enclosure.
 
@@ -125,7 +106,6 @@ class EigenvalueRecord:
     value: complex
     multiplicity: int
     factor: tuple[int, ...]
-    factor_index: int
     modulus_lo: Fraction
     modulus_hi: Fraction
     modulus_sq_exact: Optional[Fraction]
@@ -287,31 +267,62 @@ def _group_by_modulus(records: list[EigenvalueRecord]) -> tuple[tuple[Eigenvalue
     return tuple(tuple(cls) for cls in classes)
 
 
+@dataclass(frozen=True)
+class CharPoly:
+    """The spectral record of an integer matrix: its monic characteristic
+    polynomial, leading coefficient first, and what follows from it.
+
+    `coeffs` is given.  The rest is computed on first use, at most once per
+    record, so consumers that share a record share the work: `factors`, the
+    irreducible factorization over Z as [(factor, multiplicity), ...];
+    `roots(fac)`, one factor's root data at _PRECISION_BITS; and `classes`,
+    the descending modulus classes of all the roots.
+    """
+
+    coeffs: tuple[int, ...]
+    _root_data: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __call__(self, value):
+        acc = 0
+        for c in self.coeffs:
+            acc = acc * value + c
+        return acc
+
+    @cached_property
+    def factors(self) -> list[tuple[tuple[int, ...], int]]:
+        return factor_integer_poly(self.coeffs)
+
+    def roots(self, fac: tuple[int, ...]) -> list[dict]:
+        """Root data of the irreducible factor fac (see `_roots_of_factor`)."""
+        if fac not in self._root_data:
+            self._root_data[fac] = _roots_of_factor(fac, _PRECISION_BITS)
+        return self._root_data[fac]
+
+    @cached_property
+    def classes(self) -> tuple[tuple[EigenvalueRecord, ...], ...]:
+        """Eigenvalues in descending-modulus classes: their order is
+        certified, equal modulus inside a class is not (`_group_by_modulus`)."""
+        return _group_by_modulus(
+            [
+                EigenvalueRecord(multiplicity=mult, factor=fac, **root)
+                for fac, mult in self.factors
+                for root in self.roots(fac)
+            ]
+        )
+
+
+def char_poly(M: IntMatrix) -> CharPoly:
+    """The spectral record of M, from the exact characteristic polynomial det(xI - M)."""
+    return CharPoly(char_poly_coeffs(M))
+
+
 def eigenvalue_classes(M: IntMatrix) -> tuple[tuple[EigenvalueRecord, ...], ...]:
-    """Eigenvalues of M grouped into descending-modulus classes.
-
-    Each class is a tuple of records whose modulus enclosures overlap, in a
-    chain; consecutive classes have rigorously separated enclosures, so
-    their order is certified.  Equal modulus inside a class is not: it means
-    overlapping 128-bit enclosures (see `_group_by_modulus`).
-    """
-    return _eigenvalue_classes(factor_integer_poly(char_poly_coeffs(M)))
-
-
-def _eigenvalue_classes(factors, roots=None):
-    """eigenvalue_classes from the factorization [(factor, multiplicity), ...].
-
-    `roots` maps factors to root data that a caller already has from
-    `_roots_of_factor` at _PRECISION_BITS; only the other factors are
-    isolated here.
-    """
-    roots = roots or {}
-    records = [
-        EigenvalueRecord(multiplicity=mult, factor=fac, factor_index=idx, **root)
-        for idx, (fac, mult) in enumerate(factors)
-        for root in (roots[fac] if fac in roots else _roots_of_factor(fac, _PRECISION_BITS))
-    ]
-    return _group_by_modulus(records)
+    """Eigenvalues of M grouped into descending-modulus classes (`CharPoly.classes`)."""
+    return char_poly(M).classes
 
 
 def eigenvalues(M: IntMatrix) -> tuple[EigenvalueRecord, ...]:
@@ -321,7 +332,7 @@ def eigenvalues(M: IntMatrix) -> tuple[EigenvalueRecord, ...]:
     descending imaginary part.  Multiplicities are carried on the records;
     see `eigenvalue_multiset` for the flattened list.
     """
-    return tuple(r for cls in eigenvalue_classes(M) for r in cls)
+    return tuple(r for cls in char_poly(M).classes for r in cls)
 
 
 def eigenvalue_multiset(records: Sequence[EigenvalueRecord]) -> list[EigenvalueRecord]:
@@ -465,21 +476,20 @@ def has_modulus_sqrt_q(M: IntMatrix, q: int) -> SqrtQResult:
     modulus with no numerics.  Otherwise each irreducible factor of the gcd
     is examined exactly (see `_circle_roots`).
     """
-    coeffs = char_poly_coeffs(M)
-    return _has_modulus_sqrt_q(coeffs, factor_integer_poly(coeffs), q)
+    return _has_modulus_sqrt_q(char_poly(M), q)
 
 
-def _has_modulus_sqrt_q(coeffs, factors, q: int) -> SqrtQResult:
-    """has_modulus_sqrt_q from char(M)'s coefficients and factorization.
+def _has_modulus_sqrt_q(p: CharPoly, q: int) -> SqrtQResult:
+    """has_modulus_sqrt_q from the record of char(M).
 
     The irreducible factors of the gcd are the factors of char(M) that
-    divide it, in the same order as in `factors`.
+    divide it, in the same order as in `p.factors`.
     """
-    g = poly_gcd(coeffs, _reversal_poly(coeffs, q))
+    g = poly_gcd(p.coeffs, _reversal_poly(p.coeffs, q))
     if len(g) == 1:
         return SqrtQResult(False, (), "gcd prefilter is constant: no (lambda, q/lambda) root pairs exist")
     witnesses = tuple(
-        w for fac, _mult in factors if not poly_divmod(g, fac)[1] for w in _circle_roots(fac, q)
+        w for fac, _mult in p.factors if not poly_divmod(g, fac)[1] for w in _circle_roots(fac, q)
     )
     if witnesses:
         return SqrtQResult(True, witnesses, "exact factor analysis of the gcd prefilter")
@@ -493,28 +503,26 @@ def second_eigenvalue_below_sqrt_q(M: IntMatrix, q: int) -> bool:
     (multiplicities counted), so |theta_2| < sqrt(q) iff at most one root,
     counted with multiplicity, has modulus at least sqrt(q).
     """
-    return _second_eigenvalue_below_sqrt_q(factor_integer_poly(char_poly_coeffs(M)), q, {})
+    return _second_eigenvalue_below_sqrt_q(char_poly(M), q)
 
 
-def _second_eigenvalue_below_sqrt_q(factors, q: int, roots: dict) -> bool:
-    """second_eigenvalue_below_sqrt_q from the factorization of char(M).
+def _second_eigenvalue_below_sqrt_q(p: CharPoly, q: int) -> bool:
+    """second_eigenvalue_below_sqrt_q from the record of char(M).
 
     A q-reciprocal factor of degree 2d with 2c roots on the circle has
     exactly d + c roots of modulus >= sqrt(q): its other roots pair up as
     (x, q/x).  Every other factor has |x|^2 = q only at x = +-sqrt(q),
     where its modulus is exact, and is otherwise compared to sqrt(q) by
-    enclosures, at doubling precision while one straddles sqrt(q).  The
-    first pass, at _PRECISION_BITS, is stored in `roots` (factor -> root
-    data), for `_eigenvalue_classes` to reuse.
+    enclosures: first the record's own root data, which `p.classes` reuses,
+    then at doubling precision while one straddles sqrt(q).
     """
     count = 0
-    for fac, mult in factors:
+    for fac, mult in p.factors:
         T = _trace_poly(fac, q)
         if T is not None:
             count += mult * (len(T) - 1 + len(_band_roots(T, q)))
         else:
-            bits = _PRECISION_BITS
-            roots[fac] = data = _roots_of_factor(fac, bits)
+            bits, data = _PRECISION_BITS, p.roots(fac)
             while None in (outside := [_outside_sqrt_q(r, q) for r in data]):
                 bits *= 2
                 data = _roots_of_factor(fac, bits)
@@ -621,9 +629,9 @@ def j_pr_kappa(M: IntMatrix, b: Sequence) -> JPRKappa:
     d = lcm(*(v.denominator for v in bvec))
     n = [int(v * d) for v in bvec]
     rows = M.transpose().entries
-    coeffs = char_poly_coeffs(M)
-    factors = factor_integer_poly(coeffs)
-    mult = dict(factors)
+    p = char_poly(M)
+    coeffs = p.coeffs
+    mult = dict(p.factors)
     seen: dict[tuple[int, ...], list[int]] = {}  # factor -> w_F, computed on first use
 
     def w(fac):
@@ -632,7 +640,7 @@ def j_pr_kappa(M: IntMatrix, b: Sequence) -> JPRKappa:
         return seen[fac]
 
     pos = 0
-    for cls in _eigenvalue_classes(factors):
+    for cls in p.classes:
         chosen = None
         for rec in cls:
             if chosen is None and any(w(rec.factor)):

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 from .coincidence import ErgodicClassification, _ergodic_classes
 from .core import Substitution, constant_length, substitution_matrix
-from .eigen import EigenvalueRecord, _eigenvalue_classes, eigenvalue_multiset
-from .exactlin import char_poly_coeffs, factor_integer_poly, poly_mul
+from .eigen import CharPoly, char_poly, eigenvalue_multiset
 from .reduction import compute_height
 
 __all__ = [
@@ -50,11 +49,11 @@ def complex_quad(value: complex, lo: Optional[float] = None, hi: Optional[float]
     }
 
 
-def _eigenvalue_payload(records: Sequence[EigenvalueRecord]) -> list[dict]:
+def _eigenvalue_payload(p: CharPoly) -> list[dict]:
     """Flattened multiset: one quad per eigenvalue, repeated by multiplicity."""
     return [
         complex_quad(rec.value, float(rec.modulus_lo), float(rec.modulus_hi))
-        for rec in eigenvalue_multiset(records)
+        for rec in eigenvalue_multiset([r for cls in p.classes for r in cls])
     ]
 
 
@@ -149,15 +148,9 @@ def analysis_report(
     S = substitution_matrix(z)
     ev = verdict.evidence
 
-    # classify's characteristic polynomial, factorization and theta_2 root
-    # data, unless it stopped before them (a failed precondition, a Dekking
-    # verdict or a sqrt(q) eigenvalue)
-    if "factors" in ev:
-        coeffs, factors = ev["coeffs"], ev["factors"]
-    else:
-        coeffs = char_poly_coeffs(S)
-        factors = factor_integer_poly(coeffs)
-    eigen_records = [r for cls in _eigenvalue_classes(factors, ev.get("roots")) for r in cls]
+    # classify's spectral record, with whatever it already holds, unless
+    # classify stopped before it (a failed precondition or a Dekking verdict)
+    p = ev.get("char_poly") or char_poly(S)
 
     # classify's height, and its classes of the pure base, which is z at height 1
     height = ev.get("height")
@@ -173,8 +166,8 @@ def analysis_report(
         "schema_version": SCHEMA_VERSION,
         "input": substitution_payload(z, path),
         "matrix": [list(row) for row in S.entries],
-        "char_poly": list(coeffs),
-        "eigenvalues": _eigenvalue_payload(eigen_records),
+        "char_poly": list(p.coeffs),
+        "eigenvalues": _eigenvalue_payload(p),
         "height": height_payload,
         "pure_base": _pure_base_payload(ev["pure_base"]) if "pure_base" in ev else None,
         "classes": classes_payload,
@@ -196,30 +189,18 @@ def classify_report(z: Substitution, verdict, path: Optional[str] = None) -> dic
     }
 
 
-def spectrum_report(
-    z: Substitution,
-    records: Sequence[EigenvalueRecord],
-    sqrt_q_result,
-    path: Optional[str] = None,
-) -> dict:
-    """Eigenvalue-centric report: char poly, irreducible factors, certified
-    eigenvalue enclosures, and the modulus-sqrt(q) test.
-
-    The records carry every irreducible factor with its multiplicity, so the
-    characteristic polynomial is their product."""
-    factors = sorted({rec.factor_index: (rec.factor, rec.multiplicity) for rec in records}.items())
-    char = (1,)
-    for _index, (fac, mult) in factors:
-        for _ in range(mult):
-            char = poly_mul(char, fac)
+def spectrum_report(z: Substitution, p: CharPoly, sqrt_q_result, path: Optional[str] = None) -> dict:
+    """Eigenvalue-centric report from the spectral record p of z's matrix:
+    char poly, irreducible factors, certified eigenvalue enclosures, and the
+    modulus-sqrt(q) test."""
     q = constant_length(z)
     return {
         "schema_version": SCHEMA_VERSION,
         "input": substitution_payload(z, path),
         "matrix": [list(row) for row in substitution_matrix(z).entries],
-        "char_poly": list(char),
-        "factors": [list(fac) for _index, (fac, _mult) in factors],
-        "eigenvalues": _eigenvalue_payload(records),
+        "char_poly": list(p.coeffs),
+        "factors": [list(fac) for fac, _mult in p.factors],
+        "eigenvalues": _eigenvalue_payload(p),
         "sqrt_q": None if sqrt_q_result is None or q is None else _sqrt_q_payload(sqrt_q_result, q),
     }
 

@@ -10,7 +10,7 @@ from substrum.classify import classify
 from substrum.coincidence import bijectivity_profile
 from substrum.core import parse_substitution, power_substitution, render_substitution, substitution_matrix
 from substrum.corpus import CORPUS, corpus_entry, load
-from substrum.eigen import char_poly, eigenvalues
+from substrum.eigen import char_poly
 from substrum.report import analysis_report, classify_report, spectrum_report
 
 APERIODIC = [e.name for e in CORPUS if e.name != "periodic"]
@@ -116,7 +116,7 @@ def test_analysis_report_lists_each_eigenvalue_once(name):
     z = load(name)
     listed = analysis_report(z, classify(z))["eigenvalues"]
     assert len(listed) == z.size
-    assert listed == spectrum_report(z, eigenvalues(substitution_matrix(z)), None)["eigenvalues"]
+    assert listed == spectrum_report(z, char_poly(substitution_matrix(z)), None)["eigenvalues"]
 
 
 @pytest.mark.parametrize(
@@ -239,7 +239,7 @@ def test_analysis_report_factors_when_classify_did_not(name, count_calls):
     counted = (exactlin.char_poly_coeffs, exactlin.factor_integer_poly)
     z = load(name)
     verdict = classify(z)
-    assert "factors" not in verdict.evidence
+    assert "char_poly" not in verdict.evidence
     reports = []
     calls = count_calls(counted, lambda: reports.append(analysis_report(z, verdict)))
     assert calls == {"char_poly_coeffs": 1, "factor_integer_poly": 1}
@@ -273,11 +273,10 @@ def test_verdicts_do_not_group_eigenvalues_by_modulus(name, count_calls):
     # the modulus classes order eigenvalues for display; both eigenvalue
     # decisions are made without them
     eigen = importlib.import_module("substrum.eigen")
-    counted = (eigen._eigenvalue_classes, eigen._group_by_modulus)
     verdicts = []
-    calls = count_calls(counted, lambda: verdicts.append(classify(load(name))))
+    calls = count_calls((eigen._group_by_modulus,), lambda: verdicts.append(classify(load(name))))
     assert verdicts[0].reasons[0] == "NoSqrtQEigenvalue"
-    assert calls == {"_eigenvalue_classes": 0, "_group_by_modulus": 0}
+    assert calls == {"_group_by_modulus": 0}
 
 
 def test_analyze_isolates_each_factor_once(monkeypatch):

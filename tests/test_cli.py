@@ -13,13 +13,14 @@ from substrum.reduction import pure_base
 
 @pytest.fixture(scope="session")
 def run_cli(child_env):
-    def run(*args, cwd=None):
+    def run(*args, cwd=None, timeout=None):
         return subprocess.run(
             [sys.executable, "-m", "substrum", *args],
             capture_output=True,
             text=True,
             cwd=cwd,
             env=child_env,
+            timeout=timeout,
         )
 
     return run
@@ -93,6 +94,18 @@ def test_analyze_periodic_exits_3(run_cli, examples_dir):
     assert out.returncode == 3
     payload = json.loads(out.stdout)
     assert payload["verdict"]["reasons"] == ["PreconditionFailed(periodic)"]
+
+
+@pytest.mark.parametrize("command", ["classify", "analyze"])
+def test_fixed_letter_exits_3(run_cli, tmp_path, command):
+    # 0 -> 0 is primitive (m = q = 1) and periodic; its images never grow,
+    # which must not stall the aperiodicity test (the timeout turns a hang
+    # into a failure)
+    path = tmp_path / "fixed.sub"
+    path.write_text("0 -> 0\n")
+    out = run_cli(command, str(path), timeout=30)
+    assert out.returncode == 3
+    assert json.loads(out.stdout)["verdict"]["reasons"] == ["PreconditionFailed(periodic)"]
 
 
 def test_pretty_and_compact_agree(run_cli, examples_dir):
@@ -201,6 +214,29 @@ def test_estimate_dim_too_few_scales(run_cli, examples_dir, tmp_path):
     )
     assert out.returncode == 4
     assert "substrum:" in out.stderr
+
+
+@pytest.mark.parametrize("command", ["estimate-dim", "examples"])
+def test_unwritable_output_exits_2(run_cli, examples_dir, tmp_path, command):
+    # nothing can be created under a regular file, not even by root
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    if command == "examples":
+        args = ("examples", str(blocker / "corpus"))
+    else:
+        args = (
+            "estimate-dim",
+            str(examples_dir / "thue_morse.sub"),
+            "--function", "1,-1",
+            "--lags", "64",
+            "--prefix", "50000",
+            "--out", str(blocker / "dim.csv"),
+        )
+    out = run_cli(*args)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith(f"substrum: cannot write {blocker}")
+    assert "Traceback" not in out.stderr
 
 
 def test_estimate_dim_length_one_exits_4(run_cli, tmp_path):

@@ -1,5 +1,7 @@
 """Parser, fixed-point generation, and combinatorial predicates."""
 
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -251,6 +253,20 @@ def test_allowed_words_match_long_prefix():
         for n in (2, 3):
             windows = {u[i : i + n] for i in range(len(u) - n + 1)}
             assert allowed_words(z, n) == windows, (name, n)
+
+
+def test_allowed_words_of_a_letter_that_stops_growing(child_env):
+    # 1 -> 1 never grows, so it seeds no word of length 3; run in a child
+    # so that a hang fails the test instead of stalling the suite
+    code = (
+        "from substrum.core import allowed_words, parse_substitution\n"
+        "print(sorted(allowed_words(parse_substitution('0 -> 0 1\\n1 -> 1\\n'), 3)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env, timeout=30
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[(0, 1, 1), (1, 1, 1)]\n"
 
 
 # ---------------------------------------------------------------------------

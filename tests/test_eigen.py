@@ -110,7 +110,7 @@ def test_sqrt_q_present_real_pair():
     for name in ("rudin_shapiro", "modified_rudin_shapiro"):
         res = has_modulus_sqrt_q(S(name), 2)
         assert res.present is True
-        assert spectrum_report(load(name), eigenvalues(S(name)), res)["sqrt_q"]["exact_witnesses"] is True
+        assert spectrum_report(load(name), char_poly(S(name)), res)["sqrt_q"]["exact_witnesses"] is True
         got = sorted(w.real for w in res.witnesses)
         assert got == pytest.approx([-math.sqrt(2), math.sqrt(2)], abs=1e-12)
         assert all(w.imag == 0 for w in res.witnesses)
@@ -248,7 +248,6 @@ def record(lo, hi, value=None, exact=None):
         value=complex(float(hi)) if value is None else value,
         multiplicity=1,
         factor=(1,),
-        factor_index=0,
         modulus_lo=lo,
         modulus_hi=hi,
         modulus_sq_exact=exact,
@@ -283,6 +282,32 @@ def test_group_by_modulus_orders_classes_and_records():
 def test_group_by_modulus_rejects_different_exact_moduli_in_one_class():
     with pytest.raises(RuntimeError, match="different exact moduli"):
         eigen_module._group_by_modulus([record(1, 3, exact=Fraction(4)), record(2, 3, exact=Fraction(5))])
+
+
+def test_char_poly_computes_each_part_once(monkeypatch, count_calls):
+    # theta_2 isolates the roots of x^3 - x + 2, and the modulus classes of
+    # the same record reuse them; the classes themselves are kept
+    real, isolated = eigen_module._roots_of_factor, []
+
+    def counting(factor, bits):
+        isolated.append(factor)
+        return real(factor, bits)
+
+    monkeypatch.setattr(eigen_module, "_roots_of_factor", counting)
+    p = char_poly(substitution_matrix(parse_substitution("0 -> 0 3\n1 -> 2 0\n2 -> 1 1\n3 -> 3 2\n")))
+    counted = (eigen_module.factor_integer_poly, eigen_module._group_by_modulus)
+    classes = []
+
+    def run():
+        eigen_module._second_eigenvalue_below_sqrt_q(p, 2)
+        classes.extend([p.classes, p.classes])
+
+    calls = count_calls(counted, run)
+    assert calls == {"factor_integer_poly": 1, "_group_by_modulus": 1}
+    assert isolated.count((1, 0, -1, 2)) == 1
+    assert len(isolated) == len(set(isolated))
+    assert classes[0] is classes[1]
+    assert sum(len(cls) for cls in classes[0]) == 4
 
 
 @st.composite

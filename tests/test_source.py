@@ -107,3 +107,25 @@ def test_every_exception_class_is_raised():
     for name in list(raised):
         raised |= returned.get(name, set())
     assert defined and [name for name in defined if name not in raised] == []
+
+
+def test_report_reads_only_evidence_keys_that_classify_writes():
+    # analysis_report falls back to recomputing what the evidence lacks, so
+    # a key renamed on one side only would pass silently, doing work twice
+    package = Path(substrum.__file__).parent
+    written = set()
+    for node in ast.walk(ast.parse((package / "classify.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) and ast.unparse(node.value) == "evidence":
+            written.add(ast.literal_eval(node.slice))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.value, ast.Dict) and ast.unparse(node.target) == "evidence":
+            written.update(ast.literal_eval(key) for key in node.value.keys)
+    read = set()
+    for node in ast.walk(ast.parse((package / "report.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Subscript) and ast.unparse(node.value) == "ev":
+            read.add(ast.literal_eval(node.slice))
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "ev.get":
+            read.add(ast.literal_eval(node.args[0]))
+        elif isinstance(node, ast.Compare) and [ast.unparse(c) for c in node.comparators] == ["ev"]:
+            read.add(ast.literal_eval(node.left))
+    assert "alphabet_size" in written and "sqrt_q" in read
+    assert sorted(read - written) == []
