@@ -457,8 +457,9 @@ def allowed_words(z: Substitution, length: int) -> frozenset[tuple[int, ...]]:
     with |z^k(a)| >= length; then closed under taking factors of one-step
     images until stable.  For a primitive substitution the closure is exactly
     the set of allowed words of that length.  A letter whose image stops
-    growing for m steps seeds nothing: each position has then passed m letters
-    with length-1 images, and every later letter is one of them: it never grows.
+    growing for m steps seeds nothing, since it never grows again: each
+    position has passed m letters with length-1 images, and all later ones
+    are among them.
     """
     if length < 1:
         raise ValueError("length must be >= 1")

@@ -53,7 +53,8 @@ def _eigenvalue_payload(p: CharPoly) -> list[dict]:
     """Flattened multiset: one quad per eigenvalue, repeated by multiplicity."""
     return [
         complex_quad(rec.value, float(rec.modulus_lo), float(rec.modulus_hi))
-        for rec in eigenvalue_multiset([r for cls in p.classes for r in cls])
+        for cls in p.classes
+        for rec in eigenvalue_multiset(cls)
     ]
 
 
