@@ -30,6 +30,7 @@ from .estimator import DEFAULT_LAGS, DEFAULT_PREFIX, dimension_fit
 from .reduction import pure_base
 from .report import (
     SCHEMA_VERSION,
+    _rules_payload,
     analysis_report,
     classify_report,
     render_json,
@@ -127,10 +128,7 @@ def _cmd_purebase(args) -> int:
             "input": substitution_payload(z, args.path),
             "height": base.height,
             "phi": {token: list(word) for token, word in base.phi},
-            "eta_rules": {
-                base.eta.alphabet.token(a): [base.eta.alphabet.token(b) for b in img]
-                for a, img in enumerate(base.eta.images)
-            },
+            "eta_rules": _rules_payload(base.eta),
             "eta_dsl": eta_dsl,
             "coincidence": dekking_pure_discrete(base.eta),
         }
@@ -163,6 +161,9 @@ def _cmd_estimate_dim(args) -> int:
             f"--function needs {z.size} coefficients (one per letter), got {len(f)}",
         )
     scales = _parse_scales(args.scales) if args.scales else None
+    for flag, value, least in (("--prefix", args.prefix, 1), ("--lags", args.lags, 0)):
+        if value < least:
+            raise _fail(EXIT_USAGE, f"{flag} must be >= {least}, got {value}")
     try:
         est = dimension_fit(z, f, scales=scales, K=args.lags, L=args.prefix)
     except ValueError as exc:

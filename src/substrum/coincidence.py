@@ -25,7 +25,8 @@ from .core import (
     Alphabet,
     IntMatrix,
     Substitution,
-    _boolean_product,
+    _derived_alphabet,
+    _stabilizing_power,
     constant_length,
     is_primitive,
     substitution_matrix,
@@ -63,12 +64,10 @@ class PairAlphabet:
     def pair(self, i: int) -> tuple[int, int]:
         return divmod(i, self.m)
 
-    def token(self, i: int) -> str:
-        a, b = self.pair(i)
-        return f"({self.base.token(a)},{self.base.token(b)})"
-
     def alphabet(self) -> Alphabet:
-        return Alphabet(tuple(self.token(i) for i in range(len(self))))
+        """Pair (a,b) is named "(a,b)" from the letter tokens, or by index (see _derived_alphabet)."""
+        tok = self.base.token
+        return _derived_alphabet(f"({tok(a)},{tok(b)})" for a, b in map(self.pair, range(len(self))))
 
 
 def bisubstitution(z: Substitution) -> Substitution:
@@ -151,7 +150,8 @@ def _ergodic_classes(z: Substitution) -> ErgodicClassification:
     )
 
     # support rows of the coincidence matrix: bit p2 of row p is set iff p
-    # occurs in the image of p2
+    # occurs in the image of p2; columns indexed by a class have support
+    # inside the class, since classes are forward-invariant
     support = [0] * n
     for p2, image in enumerate(zz.images):
         for p in image:
@@ -196,34 +196,6 @@ def _strong_components(z: Substitution) -> list[int]:
                     while labels[v] < 0:
                         labels[stack.pop()] = v
     return labels
-
-
-def _stabilizing_power(B: list[int], class_indices: list[list[int]]) -> Optional[int]:
-    """Least j with every class block of C^j entrywise positive, for the
-    coincidence matrix C with support rows B (bit c of row r set iff
-    C[r, c] > 0).
-
-    Columns indexed by a class have support inside the class, so the block
-    of C^j is the j-th power of the block of C; positivity only depends on
-    the boolean structure, so the powers are boolean products of bitmask
-    rows.  The sequence of boolean powers is eventually periodic, so the
-    search stops as soon as a power repeats (a periodic non-positive pattern
-    can never become positive later); n(n+1) stays as a hard cap,
-    dominating the Wielandt bound for every block.
-    """
-    n = len(B)
-    P = B
-    blocks = [(cls, sum(1 << i for i in cls)) for cls in class_indices]
-    seen = set()
-    for j in range(1, n * (n + 1) + 1):
-        if all(P[i] & mask == mask for cls, mask in blocks for i in cls):
-            return j
-        key = tuple(P)
-        if key in seen:
-            return None
-        seen.add(key)
-        P = _boolean_product(P, B)
-    return None
 
 
 def dekking_pure_discrete(z: Substitution) -> bool:

@@ -98,6 +98,17 @@ class Alphabet:
         return self.letters[i]
 
 
+def _derived_alphabet(names: Sequence[str]) -> Alphabet:
+    """The alphabet of letters derived from other letters (h-blocks, ordered
+    pairs): `names`, built from the letters' tokens, when they are distinct,
+    else the indices "0", "1", ..., since tokens that contain the joining
+    characters can give two letters one name."""
+    names = tuple(names)
+    if len(set(names)) < len(names):
+        names = tuple(str(i) for i in range(len(names)))
+    return Alphabet(names)
+
+
 @dataclass(frozen=True)
 class Substitution:
     """A substitution: one nonempty image word per letter.
@@ -138,11 +149,7 @@ class Substitution:
 
     def hash_key(self) -> str:
         """Stable content hash (hex) of the substitution: the report's `input.hash`."""
-        canon = "\n".join(
-            self.alphabet.token(a) + " -> " + " ".join(self.alphabet.token(b) for b in img)
-            for a, img in enumerate(self.images)
-        )
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+        return hashlib.sha256(render_substitution(self)[:-1].encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -166,32 +173,6 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.entries)))
-
-    def matmul(self, other: "IntMatrix") -> "IntMatrix":
-        n = self.dim
-        ot = tuple(zip(*other.entries))
-        return IntMatrix(
-            tuple(
-                tuple(sum(x * y for x, y in zip(row, col)) for col in ot)
-                for row in self.entries
-            )
-        )
-
-    def matpow(self, j: int) -> "IntMatrix":
-        if j < 0:
-            raise ValueError("nonnegative powers only")
-        n = self.dim
-        result = IntMatrix(tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n)))
-        base = self
-        while j:
-            if j & 1:
-                result = result.matmul(base)
-            base = base.matmul(base)
-            j >>= 1
-        return result
-
-    def column_sums(self) -> tuple[int, ...]:
-        return tuple(sum(col) for col in zip(*self.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -314,24 +295,45 @@ def _boolean_product(A: list[int], B: list[int]) -> list[int]:
     return out
 
 
+def _stabilizing_power(B: list[int], class_indices: list[list[int]]) -> Optional[int]:
+    """Least j with every class block of B^j entrywise positive, for the
+    bitmask rows B of a nonnegative n x n matrix whose columns indexed by a
+    class have support inside the class.
+
+    The block of B^j is then the j-th power of the block of B; positivity
+    only depends on the boolean structure, so the powers are boolean
+    products of bitmask rows.  The sequence of boolean powers is eventually
+    periodic, so the search stops as soon as a power repeats (a periodic
+    non-positive pattern can never become positive later); n(n+1) stays as
+    a hard cap, dominating the Wielandt bound for every block.
+    """
+    n = len(B)
+    P = B
+    blocks = [(cls, sum(1 << i for i in cls)) for cls in class_indices]
+    seen = set()
+    for j in range(1, n * (n + 1) + 1):
+        if all(P[i] & mask == mask for cls, mask in blocks for i in cls):
+            return j
+        key = tuple(P)
+        if key in seen:
+            return None
+        seen.add(key)
+        P = _boolean_product(P, B)
+    return None
+
+
 def is_primitive(z: Substitution) -> PrimitivityResult:
     """Test primitivity: some power of the substitution matrix is entrywise positive.
 
-    Positivity of S^n only depends on the 0/1 pattern of S, so the powers
-    are taken as boolean products of bitmask rows, and the least witness
-    exponent is returned.  The bound m^2 + 1 dominates the Wielandt bound
-    (m-1)^2 + 1 for primitive nonnegative matrices, so a miss within the
-    bound is a definitive "not primitive".
+    Positivity of S^n only depends on the 0/1 pattern of S, and S is one
+    class block that holds every letter, so the least witness exponent is
+    the `_stabilizing_power` of its bitmask rows.  That search ends at a
+    repeated boolean power or past m(m+1), which dominates the Wielandt
+    bound (m-1)^2 + 1 for primitive nonnegative matrices, so a miss is a
+    definitive "not primitive".
     """
-    m = z.size
-    full = (1 << m) - 1
-    S = _support_rows(substitution_matrix(z))
-    power = S
-    for n in range(1, m * m + 2):
-        if all(row == full for row in power):
-            return PrimitivityResult(True, n)
-        power = _boolean_product(power, S)
-    return PrimitivityResult(False, None)
+    witness = _stabilizing_power(_support_rows(substitution_matrix(z)), [list(range(z.size))])
+    return PrimitivityResult(witness is not None, witness)
 
 
 def constant_length(z: Substitution) -> Optional[int]:
@@ -389,7 +391,6 @@ def _fixed_point_bytes(
     letter: int,
     power: int,
     target_len: int,
-    max_symbols: int = DEFAULT_MAX_SYMBOLS,
 ) -> bytes:
     """`fixed_point_prefix` packed as bytes, one `_symbol_code(z.size)` item per symbol.
 
@@ -400,9 +401,9 @@ def _fixed_point_bytes(
     """
     if target_len < 1:
         raise ValueError("target_len must be >= 1")
-    if target_len > max_symbols:
+    if target_len > DEFAULT_MAX_SYMBOLS:
         raise ResourceBudgetError(
-            f"target_len {target_len} exceeds symbol budget {max_symbols}"
+            f"target_len {target_len} exceeds symbol budget {DEFAULT_MAX_SYMBOLS}"
         )
     w = power_substitution(z, power)
     if w.images[letter][0] != letter:
@@ -432,7 +433,6 @@ def fixed_point_prefix(
     letter: int,
     power: int,
     target_len: int,
-    max_symbols: int = DEFAULT_MAX_SYMBOLS,
 ) -> np.ndarray:
     """First `target_len` symbols of the one-sided fixed point of z^power at `letter`.
 
@@ -446,7 +446,7 @@ def fixed_point_prefix(
     """
     import numpy as np
 
-    packed = _fixed_point_bytes(z, letter, power, target_len, max_symbols)
+    packed = _fixed_point_bytes(z, letter, power, target_len)
     return np.frombuffer(packed, dtype=_symbol_code(z.size)).astype(np.min_scalar_type(z.size - 1))
 
 

@@ -282,16 +282,6 @@ class CharPoly:
     coeffs: tuple[int, ...]
     _root_data: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, value):
-        acc = 0
-        for c in self.coeffs:
-            acc = acc * value + c
-        return acc
-
     @cached_property
     def factors(self) -> list[tuple[tuple[int, ...], int]]:
         return factor_integer_poly(self.coeffs)

@@ -23,11 +23,12 @@ sigma_ab(q n) ~ (1/q) sum_{c,d} C[(a,b),(c,d)] sigma_cd(n), because C is
 invariant under transposing pairs simultaneously in rows and columns.
 
 Determinism: counts are exact integers, so every derived table is
-bit-identical across runs for fixed (z, K, L).  The last level of the lag
-counting projects onto the integer columns W a consumer needs (all pairs,
-or the one column of a rational f), exactly while L * max|W| <= 2^53; a
-rational f's sigma_f(k) is the exact rational rounded once.  At L = 10^6 on
-2 cores it takes 1 ms at K = 4096 and 4 ms at K = 3^10 (all pairs: 2, 12 ms).
+bit-identical across runs for fixed (z, K, L).  The lag counting recurses
+through u = w(u) from the empty prefix up, and its top level projects onto
+the integer columns W a consumer needs (all pairs, or the one column of a
+rational f), exactly while L * max|W| <= 2^53; a rational f's sigma_f(k)
+is the exact rational rounded once.  At L = 10^6 on 2 cores it takes 1 ms
+at K = 4096 and 4 ms at K = 3^10 (all pairs: 2, 12 ms).
 """
 
 from __future__ import annotations
@@ -55,8 +56,6 @@ if TYPE_CHECKING:
 DEFAULT_PREFIX = 10**7
 DEFAULT_LAGS = 4096
 
-# prefixes up to this length are counted directly; longer ones recurse
-_DIRECT_COUNT_MAX = 4096
 # float64 represents every integer up to 2^53, so lag counts stay exact up to this L
 _EXACT_FLOAT_MAX = 2**53
 # multiply-adds per matrix product in _lag_counts.  OpenBLAS runs products
@@ -91,22 +90,6 @@ class CorrelationTable:
     def __post_init__(self):
         if self.sigma.shape != (self.K + 1,):
             raise ValueError("sigma must have K+1 entries")
-
-
-def _direct_counts(u: np.ndarray, L: int, K: int, m: int) -> np.ndarray:
-    """N[k, a, b] = #{n < L : u[n] = a, u[n+k] = b} by bincount over u[:L+K]."""
-    import numpy as np
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    windows = sliding_window_view(u.astype(np.int64), K + 1)[:L]  # row n is u[n : n+K+1]
-    offsets = np.arange(K + 1) * (m * m)
-    counts = np.zeros((K + 1) * m * m, dtype=np.int64)
-    step = max(1, (1 << 20) // (K + 1))  # about a million codes per bincount
-    for start in range(0, L, step):
-        block = windows[start : start + step]
-        codes = offsets + block[:, :1] * m + block
-        counts += np.bincount(codes.ravel(), minlength=counts.size)
-    return counts.reshape(K + 1, m, m)
 
 
 def _lag_transfers(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,19 +127,20 @@ def _lag_counts(z: Substitution, L: int, K: int, W: Optional[np.ndarray] = None)
     u is the fixed point of w = z^p at the seed letter (a, p), so u = w(u)
     and symbol Q j + i of u is w(u[j])_i with Q = q^p.  The counts for L =
     Q L' + s follow exactly from the counts for L' with lags up to
-    ceil(K/Q), plus direct counts over the s tail positions (the counting
-    form of the renormalization S_q(Sigma) = (1/q) C Sigma).  Prefixes of at
-    most _DIRECT_COUNT_MAX symbols are counted directly, so no long prefix
-    of u is ever built.
+    ceil(K/Q), plus the s tail positions (the counting form of the
+    renormalization S_q(Sigma) = (1/q) C Sigma).  The recursion runs down to
+    the empty prefix, L = 0, whose counts are zero and whose window is the
+    first K+1 symbols of u, so no long prefix of u is ever built.
 
     Each level multiplies the child's table by the stacked transfer
-    matrices (see _lag_transfers) in float64, in products of at most
-    _BLAS_CALL_MACS multiply-adds.  Only the top level, which holds (Q-1)/Q
-    of all rows, projects: it multiplies by T_delta^T W, W with an all-ones
-    column that must read L on every lag, and adds one row of W per tail
-    position.  Every term and partial sum is an integer of modulus at most
-    L * max(1, max|W|), and float64 holds every integer up to 2^53, so a
-    larger bound raises ValueError.
+    matrices (see _lag_transfers), already multiplied by its weights, in
+    float64 products of at most _BLAS_CALL_MACS multiply-adds, and adds one
+    row of its weights per tail position.  Child levels weigh by the
+    identity; the top level, which holds (Q-1)/Q of all rows, weighs by W
+    with an all-ones column that must read L on every lag.  Every term and
+    partial sum is an integer of modulus at most L * max(1, max|W|), and
+    float64 holds every integer up to 2^53, so a larger bound raises
+    ValueError.
     """
     import numpy as np
 
@@ -168,7 +152,8 @@ def _lag_counts(z: Substitution, L: int, K: int, W: Optional[np.ndarray] = None)
     if K < 0:
         raise ValueError("max lag K must be >= 0")
     m = z.size
-    top = np.eye(m * m, dtype=np.int64) if W is None else np.asarray(W)
+    identity = np.eye(m * m)
+    top = identity if W is None else np.asarray(W)
     weight = max(1, int(np.abs(top).max())) if top.dtype.kind in "iu" else 1
     if L * weight > _EXACT_FLOAT_MAX:
         raise ValueError(f"L * max|W| = {L * weight} must be <= 2^53 = {_EXACT_FLOAT_MAX} for exact counts")
@@ -178,19 +163,15 @@ def _lag_counts(z: Substitution, L: int, K: int, W: Optional[np.ndarray] = None)
     Q = images.shape[1]
     forward, backward = _lag_transfers(images)
 
-    def counts_and_window(L: int, K: int, W: Optional[np.ndarray] = None):
-        """(N over u[:L] with lags 0..K as float64 (K+1, m*m), or N @ W, and the window u[L : L+K+1])."""
-        if L <= _DIRECT_COUNT_MAX:
-            u = fixed_point_prefix(z, letter, power, L + K + 1)
-            counts = _direct_counts(u, L, K, m).reshape(K + 1, m * m).astype(np.float64)
-            return (counts if W is None else counts @ W), u[L:]
+    def counts_and_window(L: int, K: int, fwd: np.ndarray, bwd: np.ndarray, W: np.ndarray):
+        """(N over u[:L] with lags 0..K, times W, as float64 (K+1, c), and the window
+        u[L : L+K+1]); fwd and bwd are the transfer stacks already multiplied by W."""
+        c = W.shape[1]
+        if L == 0:
+            return np.zeros((K + 1, c)), fixed_point_prefix(z, letter, power, K + 1)
         child_L, s = divmod(L, Q)
         child_K = -(-K // Q)
-        child, window = counts_and_window(child_L, child_K)
-        fwd, bwd, c = forward, backward, m * m
-        if W is not None:  # T_delta^T W for every delta
-            c = W.shape[1]
-            fwd, bwd = ((T.reshape(m * m, -1, m * m) @ W).reshape(m * m, -1) for T in (forward, backward))
+        child, window = counts_and_window(child_L, child_K, forward, backward, identity)
         rows = max(1, _BLAS_CALL_MACS // (Q * m * m * c))  # child rows per product
         # position n = Q j + i < Q L' has partner n + k = Q (j + d) + r, with
         # i + k = Q d + r: the child pair (u[j], u[j+d]) read through columns
@@ -207,19 +188,15 @@ def _lag_counts(z: Substitution, L: int, K: int, W: Optional[np.ndarray] = None)
             counts[lo : lo + len(block) - 1, 1:] += (block[1:] @ bwd).reshape(-1, Q - 1, c)
         counts = counts.reshape(-1, c)[: K + 1]
         # u = w(u), so w(u[L' : L'+K'+1]) = u[Q L' : Q (L'+K'+1)]: it holds the
-        # s tail positions Q L' .. L-1 with all their partners, and u[L : L+K+1];
-        # the K+1 lags of one position are distinct rows, so no index repeats
+        # s tail positions Q L' .. L-1 with all their partners, and u[L : L+K+1]
         image = images[window].ravel()
-        lags = np.arange(K + 1)
         for t in range(s):
-            pairs = image[t] * m + image[t : t + K + 1]
-            if W is None:
-                counts[lags, pairs] += 1
-            else:
-                counts += W[pairs]
+            counts += W[image[t] * m + image[t : t + K + 1]]
         return counts, image[s : s + K + 1]
 
-    counts, _ = counts_and_window(L, K, top)
+    # T_delta^T top for every delta
+    fwd, bwd = ((T.reshape(m * m, -1, m * m) @ top).reshape(m * m, -1) for T in (forward, backward))
+    counts, _ = counts_and_window(L, K, fwd, bwd, top)
     if not np.all(counts[:, -1] == L):
         raise RuntimeError(f"lag counts do not sum to L={L} on every lag row: {np.unique(counts[:, -1])}")
     counts = counts[:, :-1]

@@ -34,6 +34,7 @@ from typing import Optional, Sequence
 from .core import (
     Alphabet,
     Substitution,
+    _derived_alphabet,
     _fixed_point_bytes,
     _pack,
     _unpack,
@@ -59,12 +60,10 @@ __all__ = [
 @dataclass(frozen=True)
 class HeightInfo:
     """g0 = gcd of return positions of the first letter; h = its largest
-    divisor coprime to q; prefix_len_used = symbols scanned to locate the
-    first return (the gcd itself is decided exactly, without scanning)."""
+    divisor coprime to q."""
 
     g0: int
     h: int
-    prefix_len_used: int
 
 
 def _require_primitive(z: Substitution) -> int:
@@ -93,9 +92,8 @@ def _occurrences(word: bytes, u: bytes, width: int) -> list[int]:
     return found
 
 
-def _first_return(z: Substitution, letter: int, power: int, u: tuple[int, ...]) -> tuple[int, int]:
-    """(k, n): k >= 1 is the first position after 0 where the prefix u of U
-    occurs again, found in a prefix of n symbols.
+def _first_return(z: Substitution, letter: int, power: int, u: tuple[int, ...]) -> int:
+    """The first position k >= 1 where the prefix u of U occurs again.
 
     U is uniformly recurrent for primitive z, so the doubling scan ends;
     the prefix builder's symbol budget is the only cap.
@@ -105,7 +103,7 @@ def _first_return(z: Substitution, letter: int, power: int, u: tuple[int, ...]) 
     while True:
         occ = _occurrences(_fixed_point_bytes(z, letter, power, n), packed, len(packed) // len(u))
         if len(occ) >= 2:
-            return occ[1], n
+            return occ[1]
         n *= 2
 
 
@@ -155,7 +153,7 @@ def _compute_height(z: Substitution, q: int) -> HeightInfo:
     """`compute_height` of a primitive substitution of constant length q."""
     letter, power = seed_letter(z)
     w = power_substitution(z, power)
-    k1, prefix_used = _first_return(z, letter, power, (letter,))
+    k1 = _first_return(z, letter, power, (letter,))
     g0 = max(
         n
         for n in range(1, k1 + 1)
@@ -165,7 +163,7 @@ def _compute_height(z: Substitution, q: int) -> HeightInfo:
     h = g0
     while (d := math.gcd(h, q)) > 1:
         h //= d
-    return HeightInfo(g0=g0, h=h, prefix_len_used=prefix_used)
+    return HeightInfo(g0=g0, h=h)
 
 
 @dataclass(frozen=True)
@@ -186,6 +184,7 @@ class PureBase:
 
 
 def _block_token(tokens: Sequence[str]) -> str:
+    """An h-block's name from its letter tokens (see _derived_alphabet when two names coincide)."""
     if all(len(t) == 1 for t in tokens):
         return "".join(tokens)
     return "-".join(tokens)
@@ -229,8 +228,8 @@ def _pure_base(z: Substitution, h: int) -> PureBase:
                 blocks.append(C)
             row.append(index[C])
         images.append(tuple(row))
-    tokens = tuple(_block_token(tuple(tok(a) for a in B)) for B in blocks)
-    eta = Substitution(Alphabet(tokens), tuple(images))
+    eta = Substitution(_derived_alphabet(_block_token([tok(a) for a in B]) for B in blocks), tuple(images))
+    tokens = eta.alphabet.letters
 
     for i, B in enumerate(blocks):
         if tuple(x for j in eta.images[i] for x in blocks[j]) != w.apply(B):
@@ -281,7 +280,7 @@ def return_words(z: Substitution, u: Optional[Sequence[int]] = None) -> ReturnWo
             raise ValueError("u must be a prefix of the fixed point")
 
     w = power_substitution(z, power)
-    k, _ = _first_return(z, letter, power, u)
+    k = _first_return(z, letter, power, u)
     first = _prefix(z, letter, power, k)
     packed = _pack(u, z.size)
     words = [first]

@@ -34,13 +34,9 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-def complex_quad(value: complex, lo: Optional[float] = None, hi: Optional[float] = None) -> dict:
-    """{re, im, modulus_lo, modulus_hi} for one complex number."""
+def complex_quad(value: complex, lo: float, hi: float) -> dict:
+    """{re, im, modulus_lo, modulus_hi} for one complex number with |value| in [lo, hi]."""
     value = complex(value)
-    if lo is None or hi is None:
-        mod = abs(value)
-        lo = mod if lo is None else lo
-        hi = mod if hi is None else hi
     return {
         "re": float(value.real),
         "im": float(value.imag),
@@ -58,28 +54,26 @@ def _eigenvalue_payload(p: CharPoly) -> list[dict]:
     ]
 
 
+def _rules_payload(z: Substitution) -> dict:
+    """{letter: [image letters]} in alphabet order, by token."""
+    tok = z.alphabet.token
+    return {tok(a): [tok(b) for b in img] for a, img in enumerate(z.images)}
+
+
 def substitution_payload(z: Substitution, path: Optional[str] = None) -> dict:
-    rules = {
-        z.alphabet.token(a): [z.alphabet.token(b) for b in img]
-        for a, img in enumerate(z.images)
-    }
     return {
         "path": path,
         "alphabet": list(z.alphabet.letters),
-        "rules": rules,
+        "rules": _rules_payload(z),
         "hash": z.hash_key(),
     }
 
 
 def _pure_base_payload(base) -> dict:
-    eta = base.eta
     return {
         "height": base.height,
-        "alphabet": list(eta.alphabet.letters),
-        "rules": {
-            eta.alphabet.token(a): [eta.alphabet.token(b) for b in img]
-            for a, img in enumerate(eta.images)
-        },
+        "alphabet": list(base.eta.alphabet.letters),
+        "rules": _rules_payload(base.eta),
         "blocks": {token: list(word) for token, word in base.phi},
     }
 
@@ -136,12 +130,7 @@ def _evidence_payload(z: Substitution, verdict) -> dict:
     return out
 
 
-def analysis_report(
-    z: Substitution,
-    verdict,
-    path: Optional[str] = None,
-    estimator: Optional[dict] = None,
-) -> dict:
+def analysis_report(z: Substitution, verdict, path: Optional[str] = None) -> dict:
     """Full static report: input echo, matrix, char poly, eigenvalues, height,
     pure base, classes, evidence, verdict.  Fields the pipeline could not
     reach (precondition failures) are null rather than omitted, so the
@@ -163,7 +152,7 @@ def analysis_report(
     if ev.get("k") is not None:
         classes_payload = _classes_payload(ev["classification"] if ev["h"] == 1 else _ergodic_classes(z), z)
 
-    report = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "input": substitution_payload(z, path),
         "matrix": [list(row) for row in S.entries],
@@ -175,9 +164,6 @@ def analysis_report(
         "evidence": _evidence_payload(z, verdict),
         "verdict": verdict_payload(verdict),
     }
-    if estimator is not None:
-        report["estimator"] = estimator
-    return report
 
 
 def classify_report(z: Substitution, verdict, path: Optional[str] = None) -> dict:

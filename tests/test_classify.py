@@ -5,10 +5,19 @@ import math
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from substrum.classify import classify
 from substrum.coincidence import bijectivity_profile
-from substrum.core import parse_substitution, power_substitution, render_substitution, substitution_matrix
+from substrum.core import (
+    Alphabet,
+    Substitution,
+    parse_substitution,
+    power_substitution,
+    render_substitution,
+    substitution_matrix,
+)
 from substrum.corpus import CORPUS, corpus_entry, load
 from substrum.eigen import char_poly
 from substrum.report import analysis_report, classify_report, spectrum_report
@@ -296,3 +305,28 @@ def test_analyze_isolates_each_factor_once(monkeypatch):
     report = analysis_report(z, verdict)
     assert len(report["eigenvalues"]) == 4
     assert calls.count((1, 0, -1, 2)) == 1
+
+
+# letter names built from pieces joined by "-" and ",", the characters that
+# name h-blocks and ordered pairs, so two derived letters can get one name
+LETTER_NAMES = st.lists(st.sampled_from(["aa", "bb", "(a", "b)"]), min_size=1, max_size=3).flatmap(
+    lambda pieces: st.lists(st.sampled_from("-,"), min_size=len(pieces) - 1, max_size=len(pieces) - 1).map(
+        lambda joins: pieces[0] + "".join(j + p for j, p in zip(joins, pieces[1:]))
+    )
+)
+
+
+@pytest.mark.parametrize("name", APERIODIC)
+@settings(max_examples=10, deadline=None)
+@given(st.lists(LETTER_NAMES, min_size=5, max_size=5, unique=True))
+# height_two's blocks (aa-bb, cc) and (aa, bb-cc) both join to "aa-bb-cc"
+@example(["aa-bb", "aa", "dd", "cc", "bb-cc"])
+# on four letters, the pairs (aa,bb, cc) and (aa, bb,cc) both read "(aa,bb,cc)"
+@example(["aa,bb", "cc", "aa", "bb,cc", "ee"])
+def test_verdict_does_not_depend_on_letter_names(name, names):
+    z = load(name)
+    renamed = classify(Substitution(Alphabet(tuple(names[: z.size])), z.images))
+    verdict = classify(z)
+    assert renamed.verdict == verdict.verdict
+    assert renamed.reasons == verdict.reasons
+    assert renamed.eigenvalue_group == verdict.eigenvalue_group

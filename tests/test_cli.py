@@ -263,6 +263,52 @@ def test_estimate_dim_prefix_above_2_53_exits_4(run_cli, examples_dir, tmp_path)
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("flag, value", [("--prefix", "0"), ("--lags", "-1")])
+def test_estimate_dim_bad_budget_flag_exits_2(run_cli, examples_dir, tmp_path, flag, value):
+    out = run_cli(
+        "estimate-dim",
+        str(examples_dir / "thue_morse.sub"),
+        "--function", "1,-1",
+        flag, value,
+        "--out", str(tmp_path / "dim.csv"),
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith(f"substrum: {flag} must be >= ")
+    assert not (tmp_path / "dim.csv").exists()
+
+
+# letters named with the characters that join derived letter names: height_two
+# relabelled so that its h-blocks (a-b, c) and (a, b-c) both join to "a-b-c",
+# and a substitution whose pairs (a,b, c) and (a, b,c) both read "(a,b,c)"
+JOINED_NAMES = {
+    "blocks": "a-b -> a-b c a\na -> a b-c d\nd -> a b-c a-b\nc -> b-c a-b c\nb-c -> c a-b b-c\n",
+    "pairs": "a,b -> a,b c a\nc -> c a b,c\na -> b,c a,b c\nb,c -> a c a,b\n",
+}
+
+
+@pytest.mark.parametrize("command", ["classify", "analyze"])
+@pytest.mark.parametrize("names", sorted(JOINED_NAMES))
+def test_letter_names_with_joining_characters(run_cli, tmp_path, command, names):
+    path = tmp_path / "joined.sub"
+    path.write_text(JOINED_NAMES[names])
+    out = run_cli(command, str(path))
+    assert out.returncode == 0, out.stderr
+    verdict = json.loads(out.stdout)["verdict"]
+    # the verdict of the same rules with plain letter names
+    assert (verdict["verdict"], verdict["reasons"]) == ("PurelyDiscrete", ["DekkingCoincidence"])
+
+
+def test_purebase_names_colliding_blocks_by_index(run_cli, tmp_path):
+    path = tmp_path / "joined.sub"
+    path.write_text(JOINED_NAMES["blocks"])
+    out = run_cli("purebase", str(path))
+    assert out.returncode == 0, out.stderr
+    eta = parse_substitution(out.stdout)
+    assert eta.alphabet.letters == tuple(str(i) for i in range(eta.size))
+    assert eta.hash_key() == pure_base(parse_substitution(JOINED_NAMES["blocks"])).eta.hash_key()
+
+
 NO_SYMPY_CHILD = """
 import contextlib, io, json, pathlib, sys
 import substrum

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from substrum.core import fixed_point_prefix, is_primitive, parse_substitution, seed_letter
 from substrum.corpus import load
 from substrum.estimator import (
-    _DIRECT_COUNT_MAX,
     _lag_counts,
     ball_mass,
     birkhoff_growth,
@@ -27,6 +26,9 @@ from substrum.estimator import (
 TM = load("thue_morse")
 EX61 = load("bijective_nonabelian")
 RS = load("rudin_shapiro")
+
+# the prefix lengths that the lag-count strategies draw are multiples of this
+PREFIX_UNIT = 4096
 
 
 def tm_autocorrelation(K):
@@ -148,8 +150,8 @@ def lag_count_cases(draw):
     """A random primitive substitution (m <= 5, q <= 4) with a budget (L, K).
 
     L = Q n + s with Q = q^p for the seed power p, so L is a multiple of Q
-    whenever s = 0.  L reaches 16 times the direct-count size, so most
-    draws recurse, some of them through several levels.
+    whenever s = 0.  L reaches 16 * PREFIX_UNIT, so most draws recurse
+    through several levels before they reach the empty prefix.
     """
     m = draw(st.integers(1, 5))
     q = draw(st.integers(2, 4))
@@ -160,25 +162,29 @@ def lag_count_cases(draw):
     z = parse_substitution(rules)
     assume(is_primitive(z).primitive)
     Q = q ** seed_letter(z)[1]
-    L = Q * draw(st.integers(0, 16 * _DIRECT_COUNT_MAX // Q)) + draw(st.integers(0, Q - 1))
+    L = Q * draw(st.integers(0, 16 * PREFIX_UNIT // Q)) + draw(st.integers(0, Q - 1))
     assume(L >= 1)
     return rules, L, draw(st.sampled_from([0, 1, q, 37, 500]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(lag_count_cases())
-# p = 1, Q = 2: L = 2^15 - 1 leaves a tail position at each of three levels
+# p = 1, Q = 2: L = 2^15 - 1 leaves a tail position at each of fifteen levels
 @example(("0 -> 0 1\n1 -> 1 0\n", 2**15 - 1, 500))
-# p = 2, Q = 4: L = 1 with K = 0, and L a multiple of Q above the direct-count size
+# p = 2, Q = 4: L = 1 with K = 0, and L a multiple of Q
 @example(("0 -> 1 0\n1 -> 0 1\n", 1, 0))
 @example(("0 -> 1 0\n1 -> 0 1\n", 4 * 3001, 37))
-# p = 3, Q = 27: L not a multiple of Q, above the direct-count size
+# p = 3, Q = 27: L not a multiple of Q
 @example(("0 -> 1 2 0\n1 -> 2 0 1\n2 -> 0 0 1\n", 27 * 500 + 5, 500))
-# Q = 3, K = 100 >= Q^3: L = 332170 recurses through five levels down to 1366
-# symbols, with one or two tail positions at each level
+# Q = 3, K = 100 >= Q^3: L = 332170 (121212122121 in base 3) recurses through
+# twelve levels to the empty prefix, with one or two tail positions at each level
 @example(("1 -> 1 1 3\n2 -> 2 3 2\n3 -> 3 2 4\n4 -> 4 4 1\n", 332170, 100))
 # K = 3000: the top level's 1001 child rows span three products (341 rows each)
 @example(("1 -> 1 1 3\n2 -> 2 3 2\n3 -> 3 2 4\n4 -> 4 4 1\n", 3 * 4100 + 2, 3000))
+# L < Q with K >> L: the top level's child is the empty prefix, and every
+# count comes from the tail positions
+@example(("1 -> 1 1 3\n2 -> 2 3 2\n3 -> 3 2 4\n4 -> 4 4 1\n", 2, 500))
+@example(("0 -> 1 2 0\n1 -> 2 0 1\n2 -> 0 0 1\n", 26, 100))
 def test_lag_counts_match_direct_count(case):
     rules, L, K = case
     z = parse_substitution(rules)
@@ -191,6 +197,8 @@ def test_lag_counts_match_direct_count(case):
 @given(lag_count_cases(), st.integers(1, 3), st.lists(st.integers(-7, 7), min_size=75, max_size=75))
 # Q = 3 with one tail position at the top level, where each tail row of W counts
 @example(("1 -> 1 1 3\n2 -> 2 3 2\n3 -> 3 2 4\n4 -> 4 4 1\n", 3 * 4100 + 1, 500), 2, list(range(-16, 16)) + [0] * 43)
+# L < Q: the top level's weighted transfer stacks act on the empty prefix's zero counts
+@example(("1 -> 1 1 3\n2 -> 2 3 2\n3 -> 3 2 4\n4 -> 4 4 1\n", 2, 500), 2, list(range(-16, 16)) + [0] * 43)
 def test_projected_lag_counts_match_direct_count(case, c, entries):
     # an integer W of either sign (m*m rows, c columns) projects the top level exactly
     rules, L, K = case
@@ -217,7 +225,7 @@ def rational_functions(draw):
         st.builds(Fraction, st.integers(-9, 9), st.integers(2, 12)), min_size=m, max_size=m,
     ))
     assume(any(x.denominator > 1 for x in f))
-    L = draw(st.integers(1, 8 * _DIRECT_COUNT_MAX))
+    L = draw(st.integers(1, 8 * PREFIX_UNIT))
     return z, f, L, draw(st.sampled_from([0, 1, q, 37, 300]))
 
 

@@ -129,3 +129,29 @@ def test_report_reads_only_evidence_keys_that_classify_writes():
             read.add(ast.literal_eval(node.left))
     assert "alphabet_size" in written and "sqrt_q" in read
     assert sorted(read - written) == []
+
+
+def test_every_private_name_is_used():
+    # a private function, class, constant or method is reachable only from
+    # inside the package, so one that no code reads is dead: the leftover of
+    # a removed call path
+    defined, read = [], set()
+    for path in sorted(Path(substrum.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+                if isinstance(node, ast.ClassDef):
+                    names += [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [f"{path.name}:{n}" for n in names if n.startswith("_") and not n.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert defined and [name for name in defined if name.split(":")[1] not in read] == []
