@@ -27,7 +27,7 @@ TM = load("thue_morse")
 EX61 = load("bijective_nonabelian")
 RS = load("rudin_shapiro")
 
-# the prefix lengths that the lag-count strategies draw are multiples of this
+# the lag-count strategies draw prefix lengths up to a small multiple of this
 PREFIX_UNIT = 4096
 
 
