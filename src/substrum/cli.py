@@ -26,7 +26,7 @@ from .core import (
 )
 from .corpus import write_corpus
 from .eigen import _has_modulus_sqrt_q, char_poly
-from .estimator import DEFAULT_LAGS, DEFAULT_PREFIX, dimension_fit
+from .estimator import DEFAULT_LAGS, DEFAULT_PREFIX, _fit_function, dimension_fit
 from .reduction import pure_base
 from .report import (
     SCHEMA_VERSION,
@@ -58,7 +58,7 @@ def _fail(code: int, message: str) -> "_CliExit":
 
 def _load(path: str) -> Substitution:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise _fail(EXIT_USAGE, f"cannot read {path}: {exc}") from exc
     try:
@@ -155,15 +155,14 @@ def _cmd_spectrum(args) -> int:
 def _cmd_estimate_dim(args) -> int:
     z = _load(args.path)
     f = _parse_function(args.function)
-    if len(f) != z.size:
-        raise _fail(
-            EXIT_USAGE,
-            f"--function needs {z.size} coefficients (one per letter), got {len(f)}",
-        )
     scales = _parse_scales(args.scales) if args.scales else None
     for flag, value, least in (("--prefix", args.prefix, 1), ("--lags", args.lags, 0)):
         if value < least:
             raise _fail(EXIT_USAGE, f"{flag} must be >= {least}, got {value}")
+    try:
+        f = _fit_function(z, f, args.prefix)
+    except ValueError as exc:
+        raise _fail(EXIT_USAGE, f"--function {args.function!r}: {exc}") from exc
     try:
         est = dimension_fit(z, f, scales=scales, K=args.lags, L=args.prefix)
     except ValueError as exc:

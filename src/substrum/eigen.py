@@ -64,6 +64,8 @@ from typing import Optional, Sequence
 from .core import IntMatrix
 from .exactlin import (
     _derivative,
+    _primitive,
+    _pseudo_divmod,
     char_poly_coeffs,
     factor_integer_poly,
     poly_divmod,
@@ -402,17 +404,19 @@ def _band_roots(T: tuple[int, ...], q: int) -> list[float]:
 
     Each gives a pair of roots (s +- i sqrt(4q - s^2))/2 of modulus sqrt(q)
     of x^d T(x + q/x).  A linear T has the exact root -T[1].  Otherwise the
-    Sturm chain of T counts its roots in (a, b] by the sign variations at a
-    and b.  The band (-2 sqrt(q), 2 sqrt(q)) is bisected at points v sqrt(q)
-    with dyadic v, where every sign is exact, until each root is isolated,
-    and then until its interval is 2^-60 sqrt(q) wide.  T is irreducible and
+    Sturm chain of T, kept in integers as positive multiples of its usual
+    members, counts its roots in (a, b] by the sign variations at a and b.
+    The band (-2 sqrt(q), 2 sqrt(q)) is bisected at points v sqrt(q) with
+    dyadic v, where every sign is exact, until each root is isolated, and
+    then until its interval is 2^-60 sqrt(q) wide.  T is irreducible and
     fac is not x^2 - q, so T has no root at +-2 sqrt(q).
     """
     if len(T) == 2:
         return [-T[1]] if T[1] * T[1] < 4 * q else []
     chain = [T, _derivative(T)]
-    while rem := poly_divmod(chain[-2], chain[-1])[1]:
-        chain.append(tuple(-c for c in rem))
+    while (step := _pseudo_divmod(chain[-2], chain[-1]))[2]:
+        c, _quo, rem = step  # c * a = quo * b + rem: the Sturm remainder is -rem / c
+        chain.append(_primitive([-x if c > 0 else x for x in rem]))
 
     def variations(v):
         signs = [sg for sg in (_sign_at(p, v, q) for p in chain) if sg]

@@ -216,7 +216,10 @@ def pair_correlations(z: Substitution, K: int = DEFAULT_LAGS, L: int = DEFAULT_P
 def _coefficient_vector(z: Substitution, f) -> np.ndarray:
     import numpy as np
 
-    vec = np.asarray([complex(x) for x in f], dtype=np.complex128)
+    try:
+        vec = np.asarray([complex(x) for x in f], dtype=np.complex128)
+    except OverflowError as exc:
+        raise ValueError(f"cylindrical vector entries must fit in float64: {exc}") from exc
     if vec.shape != (z.size,):
         raise ValueError(f"cylindrical vector must have {z.size} entries, got {vec.shape}")
     return vec
@@ -225,7 +228,7 @@ def _coefficient_vector(z: Substitution, f) -> np.ndarray:
 def _function_weights(z: Substitution, f, L: int) -> tuple[np.ndarray, int]:
     """(W, scale) with sigma_f = N @ W / (L * scale), W[a*m + b] weighing f_b conj(f_a): the exact
     column n_a n_b and d^2 for a rational f = n / d with L max(d, |n|)^2 <= 2^53, else float64
-    real and imaginary columns and 1."""
+    real and imaginary columns and 1, which must be finite."""
     import numpy as np
 
     try:
@@ -237,7 +240,10 @@ def _function_weights(z: Substitution, f, L: int) -> tuple[np.ndarray, int]:
     if len(n) == z.size and L * max(d, *map(abs, n)) ** 2 <= _EXACT_FLOAT_MAX:
         return np.array([[a * b] for a in n for b in n], dtype=np.int64), d * d
     vec = _coefficient_vector(z, f)
-    w = np.outer(np.conj(vec), vec).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.outer(np.conj(vec), vec).ravel()
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights f_a conj(f_b) must be finite in float64")
     return np.stack([w.real, w.imag], axis=1), 1
 
 
@@ -250,8 +256,9 @@ def correlations(
     """Correlation coefficients sigma_hat(k), k = 0..K, for a pair or a vector.
 
     A pair is a 2-tuple of letter *tokens* (strings); any other sequence is
-    read as a cylindrical coefficient vector, one entry per letter.  Results
-    are deterministic for fixed (z, K, L).
+    read as a cylindrical coefficient vector, one entry per letter, whose
+    float64 weights f_a conj(f_b) must be finite.  Results are deterministic
+    for fixed (z, K, L).
     """
     import numpy as np
 
@@ -346,6 +353,19 @@ class DimensionEstimate:
     kappa_corrected: bool
 
 
+def _fit_function(z: Substitution, f, L: int) -> list[Fraction]:
+    """f as rationals for `dimension_fit`, or ValueError before any counting:
+    one real rational per letter, not all zero, with finite float64 weights."""
+    try:
+        rational_f = [Fraction(x) for x in f]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError("dimension prediction needs rational real coefficients") from exc
+    if not any(rational_f):
+        raise ValueError("f must be nonzero")
+    _function_weights(z, rational_f, L)
+    return rational_f
+
+
 def dimension_fit(
     z: Substitution,
     f: Sequence,
@@ -378,10 +398,7 @@ def dimension_fit(
     if any(n < 1 for n in scales):
         raise ValueError("scales are exponents n >= 1 of r = q^-n")
 
-    try:
-        rational_f = [Fraction(x) for x in f]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError("dimension prediction needs rational real coefficients") from exc
+    rational_f = _fit_function(z, f, L)
     table = correlations(z, rational_f, K, L)
     elim = j_pr_kappa(substitution_matrix(z), rational_f)
     theta_mod = float((elim.theta_modulus_lo + elim.theta_modulus_hi) / 2)

@@ -125,20 +125,19 @@ def poly_mul(a: Sequence, b: Sequence) -> tuple:
 
 
 def poly_divmod(a: Sequence, b: Sequence) -> tuple[tuple, tuple]:
-    """(quotient, remainder) of a by a nonzero b, with deg remainder < deg b.
+    """(quotient, remainder) of a by a monic b, with deg remainder < deg b.
 
     A monic b divides without any division of coefficients, so integer
-    inputs give integer outputs; otherwise the coefficients are Fractions.
+    inputs give integer outputs (see `_pseudo_divmod` for any other b).
     """
     b = _trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead = b[0]
+    if not b or b[0] != 1:
+        raise ValueError(f"poly_divmod divides by monic polynomials only, got {b}")
     rem = list(_trim(a))
     nq = len(rem) - len(b) + 1
     quo = []
     for i in range(max(nq, 0)):
-        c = rem[i] if lead == 1 else Fraction(rem[i]) / lead
+        c = rem[i]
         quo.append(c)
         if c:
             for j in range(1, len(b)):

@@ -9,27 +9,28 @@ of U that start at positions h*k.
 
 U is the fixed point of w = zeta^p, where (a, p) = `seed_letter(zeta)`, so
 U = w(U) with Q = q^p.  Everything here is read off that self-similarity
-by a finite closure rather than by scanning prefixes of U: the aligned
-h-blocks are the closure of U[0:h] under "cut w(B) into Q blocks", and the
-return words of a prefix u are the closure of the first return word under
-"cut w(v)u at the occurrences of u".  For p = 1, eta has length q; for
-p > 1 it is the pure base of w, with images of length q^p (Dekking
-coincidence is invariant under powers).  The blocking map phi intertwines
-eta with w, phi(eta(i)) = w(phi(i)).
+by a finite closure rather than by scanning prefixes of U: g0 by one gcd
+per letter over "zeta^(j+1)(U) at q*r + i holds zeta(b)_i for the b at r
+in zeta^j(U)", the aligned h-blocks as the closure of U[0:h] under "cut
+w(B) into Q blocks", and the return words of U[0:h] as the closure of the
+first return word under "cut w(v)u at the occurrences of u".  For p = 1,
+eta has length q; for p > 1 it is the pure base of w, with images of
+length q^p (Dekking coincidence is invariant under powers).  The blocking
+map phi intertwines eta with w, phi(eta(i)) = w(phi(i)).
 
-Return words of a prefix u of U (the words between consecutive occurrences
-of u) give another derived substitution theta, used here as a cross-check:
-the substitution matrices of zeta, eta and theta all share their spectrum
-away from 0 and the roots of unity, so `spectrum_difference_is_trivial`
-strips x and cyclotomic factors from two characteristic polynomials and
-compares what is left.
+Return words of the prefix u = U[0:h] (the words between consecutive
+occurrences of u) give another derived substitution theta, used here as a
+cross-check: the substitution matrices of zeta, eta and theta all share
+their spectrum away from 0 and the roots of unity, so
+`spectrum_difference_is_trivial` strips x and cyclotomic factors from two
+characteristic polynomials and compares what is left.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import (
     Alphabet,
@@ -107,63 +108,65 @@ def _first_return(z: Substitution, letter: int, power: int, u: tuple[int, ...]) 
         n *= 2
 
 
-def _returns_divisible(w: Substitution, Q: int, a0: int, n: int) -> bool:
-    """Does every occurrence of letter a0 in the fixed point of w sit at a
-    position divisible by n?
-
-    The fixed point U of w (length-Q images, U starting with a0) satisfies
-    U = w(U), so the letter at position Q*r + i is w(U_r)_i.  The pairs
-    (letter, position mod n) realized in U are therefore the closure of
-    (a0, 0) under (a, r) -> (w(a)_i, (Q*r + i) mod n), and n divides every
-    return position of a0 iff that closure never reaches (a0, s) with
-    s != 0.  At most m*n states, so this decides divisibility exactly --
-    no prefix of U is ever long enough to do that by scanning.
-    """
-    if n == 1:
-        return True
-    seen = {(a0, 0)}
-    stack = [(a0, 0)]
-    while stack:
-        a, r = stack.pop()
-        base = (Q * r) % n
-        for i, b in enumerate(w.images[a]):
-            s = (base + i) % n
-            if b == a0 and s != 0:
-                return False
-            if (b, s) not in seen:
-                seen.add((b, s))
-                stack.append((b, s))
-    return True
-
-
 def compute_height(z: Substitution) -> HeightInfo:
     """Height of the fixed-point system of a primitive constant-length substitution.
 
-    g0 is the gcd of the positions k >= 1 with u_k = u_0.  A prefix scan
-    only ever finds the first return position k1 (primitivity gives it a
-    bounded gap); g0 is then the largest divisor n of k1 such that *all*
-    return positions are divisible by n, which `_returns_divisible`
-    decides exactly from the self-similarity of U.  h is the largest
-    divisor of g0 coprime to q.
+    g0 is the gcd of the positions k >= 1 with u_k = u_0, decided exactly
+    from z^p(U) = U by `_compute_height` without building any prefix of U;
+    h is the largest divisor of g0 coprime to q.
     """
     return _compute_height(z, _require_primitive(z))
 
 
 def _compute_height(z: Substitution, q: int) -> HeightInfo:
-    """`compute_height` of a primitive substitution of constant length q."""
+    """`compute_height` of a primitive substitution of constant length q.
+
+    U_j = z^j(U), j mod p, satisfy U_{j+1} = z(U_j).  With q >= 2, a
+    position n >= 1 of c in U_{j+1} is q*r + i for a position r < n of b in
+    U_j with z(b)_i = c (position 0 comes from position 0 of U_j).  For
+    each (j, c) seen, keep one position first[j, c] and the gcd g[j, c] of
+    the offsets from it of the other positions found so far; each update
+    adds only differences of real positions.  At the fixpoint, induction on
+    n (and on j at n = 0) puts every position at first mod g, so g is the
+    exact gcd and g0 = g[0, a].  Each g only moves down in the divisor
+    order, so the worklist empties.  With q = 1 the only primitive input is
+    a -> a, whose fixed point returns at every k.
+    """
     letter, power = seed_letter(z)
-    w = power_substitution(z, power)
-    k1 = _first_return(z, letter, power, (letter,))
-    g0 = max(
-        n
-        for n in range(1, k1 + 1)
-        if k1 % n == 0 and _returns_divisible(w, q**power, letter, n)
-    )
+    first, g = {(0, letter): 0}, {(0, letter): 0}
+    pending = [(0, letter)]
+    while pending:
+        j, b = s = pending.pop()
+        for i, c in enumerate(z.images[b]):
+            t = ((j + 1) % power, c)
+            n = q * first[s] + i
+            d = math.gcd(g.get(t, 0), n - first.setdefault(t, n), q * g[s])
+            if t not in g or d != g[t]:
+                g[t] = d
+                pending.append(t)
+    g0 = g[0, letter] if q > 1 else 1
 
     h = g0
     while (d := math.gcd(h, q)) > 1:
         h //= d
     return HeightInfo(g0=g0, h=h)
+
+
+def _closure(first, pieces) -> tuple[list, tuple[tuple[int, ...], ...]]:
+    """Breadth-first closure of {first} under item -> pieces(item): the items
+    in order of discovery, and each item's pieces as indices into them."""
+    items = [first]
+    index = {first: 0}
+    rows = []
+    for item in items:  # grows while it is walked
+        row = []
+        for piece in pieces(item):
+            if piece not in index:
+                index[piece] = len(items)
+                items.append(piece)
+            row.append(index[piece])
+        rows.append(tuple(row))
+    return items, tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -214,21 +217,13 @@ def _pure_base(z: Substitution, h: int) -> PureBase:
     letter, power = seed_letter(z)
     w = power_substitution(z, power)
     Q = constant_length(w)
-    first = _prefix(z, letter, power, h)
-    blocks = [first]
-    index = {first: 0}
-    images = []
-    for B in blocks:  # grows while it is walked: a breadth-first closure
+
+    def cut(B):
         img = w.apply(B)
-        row = []
-        for i in range(Q):
-            C = img[i * h : (i + 1) * h]
-            if C not in index:
-                index[C] = len(blocks)
-                blocks.append(C)
-            row.append(index[C])
-        images.append(tuple(row))
-    eta = Substitution(_derived_alphabet(_block_token([tok(a) for a in B]) for B in blocks), tuple(images))
+        return [img[i * h : (i + 1) * h] for i in range(Q)]
+
+    blocks, images = _closure(_prefix(z, letter, power, h), cut)
+    eta = Substitution(_derived_alphabet(_block_token([tok(a) for a in B]) for B in blocks), images)
     tokens = eta.alphabet.letters
 
     for i, B in enumerate(blocks):
@@ -241,7 +236,7 @@ def _pure_base(z: Substitution, h: int) -> PureBase:
 
 @dataclass(frozen=True)
 class ReturnWordSystem:
-    """Return words of the prefix u of U, with the derived substitution theta.
+    """Return words of the prefix u = U[0:h] of U, with the derived substitution theta.
 
     words[i] is the return word named by theta's i-th letter (token "r<i>"),
     in order of first appearance in U.  Each return word v satisfies: u is a
@@ -253,54 +248,35 @@ class ReturnWordSystem:
     theta: Substitution
 
 
-def return_words(z: Substitution, u: Optional[Sequence[int]] = None) -> ReturnWordSystem:
-    """Return words of a nonempty prefix u of the fixed point U.
+def return_words(z: Substitution) -> ReturnWordSystem:
+    """Return words of the prefix u = U[0:h] of the fixed point U.
 
-    With w = z^p as in the module docstring: if v is the return word at an
-    occurrence i of u, then U = w(U) holds w(v)u at position Q*i, and the
-    occurrences of u in that word are exactly the occurrences of u in U
-    there, so cutting at them gives the return words of U at those
-    occurrences, in order.  These windows tile U, so the closure of the
-    first return word under v -> pieces of w(v)u is the set of all return
-    words, discovered in order of first appearance.  theta(v) is that
-    decomposition of w(v).
-
-    Defaults u to the first h-block of U (the image of the first pure-base
-    letter), the prefix the height reduction naturally distinguishes.
+    u is the first h-block of U (the image of the first pure-base letter),
+    the prefix the height reduction distinguishes.  With w = z^p as in the
+    module docstring: if v is the return word at an occurrence i of u, then
+    U = w(U) holds w(v)u at position Q*i, and the occurrences of u in that
+    word are exactly the occurrences of u in U there, so cutting at them
+    gives the return words of U at those occurrences, in order.  These
+    windows tile U, so the closure of the first return word under v ->
+    pieces of w(v)u is the set of all return words, discovered in order of
+    first appearance.  theta(v) is that decomposition of w(v).
     """
     q = _require_primitive(z)
     letter, power = seed_letter(z)
-    if u is None:
-        u = _prefix(z, letter, power, _compute_height(z, q).h)
-    else:
-        u = tuple(int(x) for x in u)
-        if len(u) == 0:
-            raise ValueError("u must be nonempty")
-        if _prefix(z, letter, power, len(u)) != u:
-            raise ValueError("u must be a prefix of the fixed point")
-
+    u = _prefix(z, letter, power, _compute_height(z, q).h)
     w = power_substitution(z, power)
-    k = _first_return(z, letter, power, u)
-    first = _prefix(z, letter, power, k)
     packed = _pack(u, z.size)
-    words = [first]
-    index = {first: 0}
-    images = []
-    for v in words:  # grows while it is walked: a breadth-first closure
+
+    def cut(v):
         img = w.apply(v) + u
         cuts = _occurrences(_pack(img, z.size), packed, len(packed) // len(u))
         if cuts[0] != 0:
             raise RuntimeError(f"u is not a prefix of z^{power}(v)u for return word {v}")
-        row = []
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            piece = img[a:b]
-            if piece not in index:
-                index[piece] = len(words)
-                words.append(piece)
-            row.append(index[piece])
-        images.append(tuple(row))
+        return [img[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+
+    words, images = _closure(_prefix(z, letter, power, _first_return(z, letter, power, u)), cut)
     alphabet = Alphabet(tuple(f"r{i}" for i in range(len(words))))
-    return ReturnWordSystem(u=u, words=tuple(words), theta=Substitution(alphabet, tuple(images)))
+    return ReturnWordSystem(u=u, words=tuple(words), theta=Substitution(alphabet, images))
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,17 @@ def test_classify_computes_height_and_classes_once(count_calls):
     assert calls == {"_compute_height": 1, "_ergodic_classes": 1}
 
 
+@pytest.mark.parametrize("name", [e.name for e in CORPUS if e.name not in ("height_two", "periodic")])
+def test_classify_builds_no_prefix_at_height_one(name, count_calls):
+    # the height comes from a closure over z^p(U) = U, and the pure base at
+    # height 1 is z itself, so no symbol of the fixed point is built
+    core = importlib.import_module("substrum.core")
+    verdicts = []
+    calls = count_calls((core._fixed_point_bytes,), lambda: verdicts.append(classify(load(name))))
+    assert verdicts[0].evidence["h"] == 1
+    assert calls == {"_fixed_point_bytes": 0}
+
+
 @pytest.mark.parametrize("name", ["thue_morse", "bijective_nonabelian", "rudin_shapiro"])
 def test_classify_checks_primitivity_once(name, count_calls):
     core = importlib.import_module("substrum.core")

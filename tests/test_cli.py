@@ -278,6 +278,50 @@ def test_estimate_dim_bad_budget_flag_exits_2(run_cli, examples_dir, tmp_path, f
     assert not (tmp_path / "dim.csv").exists()
 
 
+@pytest.mark.parametrize("function", ["0,0", "1e200,-1e200", "1e400,-1e400"])
+def test_estimate_dim_bad_function_exits_2(run_cli, examples_dir, tmp_path, function):
+    # an all-zero f has nothing to eliminate, and the weights f_a f_b of the
+    # other two overflow float64
+    out = run_cli(
+        "estimate-dim",
+        str(examples_dir / "thue_morse.sub"),
+        "--function", function,
+        "--prefix", "100000",
+        "--out", str(tmp_path / "dim.csv"),
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("substrum: --function ")
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "dim.csv").exists()
+
+
+def test_rules_file_with_byte_order_mark(run_cli, examples_dir, tmp_path):
+    plain = examples_dir / "thue_morse.sub"
+    marked = tmp_path / "thue_morse.sub"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    reports = [run_cli("classify", str(path)) for path in (plain, marked)]
+    assert [out.returncode for out in reports] == [0, 0], reports[1].stderr
+    plain_report, marked_report = (json.loads(out.stdout) for out in reports)
+    assert marked_report["verdict"] == plain_report["verdict"]
+    assert marked_report["input"]["hash"] == plain_report["input"]["hash"]
+
+
+@pytest.mark.parametrize("command", ["classify", "purebase"])
+def test_long_chain_exits_0(run_cli, tmp_path, command):
+    # the first return of letter 0 sits at 3^19, past the symbol budget, so
+    # the height must not come from scanning the fixed point
+    rules = ["0 -> 0 1 1"] + [f"{i} -> {i + 1} {i + 1} {i + 1}" for i in range(1, 19)] + ["19 -> 0 19 1"]
+    path = tmp_path / "chain.sub"
+    path.write_text("\n".join(rules) + "\n")
+    out = run_cli(command, str(path))
+    assert out.returncode == 0, out.stderr
+    if command == "classify":
+        assert json.loads(out.stdout)["verdict"]["verdict"] == "PurelyDiscrete"
+    else:
+        assert out.stdout.startswith("# height: 1\n")
+
+
 # letters named with the characters that join derived letter names: height_two
 # relabelled so that its h-blocks (a-b, c) and (a, b-c) both join to "a-b-c",
 # and a substitution whose pairs (a,b, c) and (a, b,c) both read "(a,b,c)"

@@ -326,10 +326,25 @@ def test_dimension_fit_signed_indicator():
 
 @pytest.mark.parametrize(
     "f",
-    [(1j, -1, 0, 0), (1, -1, 0), ("x", 1, 0, 0), (float("inf"), -1, 0, 0), (float("nan"), -1, 0, 0)],
+    [
+        (1j, -1, 0, 0),
+        (1, -1, 0),
+        ("x", 1, 0, 0),
+        (float("inf"), -1, 0, 0),
+        (float("nan"), -1, 0, 0),
+        (0, 0, 0, 0),
+        (10**200, -(10**200), 0, 0),  # weights f_a f_b overflow float64
+        (10**400, -(10**400), 0, 0),  # f_a itself overflows float64
+    ],
 )
 def test_dimension_fit_checks_f_before_counting(f, count_calls):
     calls = count_calls((_lag_counts,), lambda: pytest.raises(ValueError, dimension_fit, EX61, f, K=729, L=10**5))
+    assert calls == {"_lag_counts": 0}
+
+
+@pytest.mark.parametrize("f", [(10**200, -(10**200), 0, 0), (10**400, -(10**400), 0, 0), (float("nan"), 1, 0, 0)])
+def test_correlations_reject_weights_that_are_not_finite(f, count_calls):
+    calls = count_calls((_lag_counts,), lambda: pytest.raises(ValueError, correlations, EX61, f, 16, 10**5))
     assert calls == {"_lag_counts": 0}
 
 

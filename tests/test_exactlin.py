@@ -13,6 +13,7 @@ from substrum.core import Alphabet, IntMatrix, Substitution, substitution_matrix
 from substrum.exactlin import (
     char_poly_coeffs,
     factor_integer_poly,
+    poly_divmod,
     poly_gcd,
     poly_gcdex,
     poly_mul,
@@ -150,6 +151,13 @@ def test_factor_integer_poly_matches_sympy_on_substitution_matrices(S):
 def test_factor_integer_poly_rejects_non_monic():
     with pytest.raises(ValueError, match="monic"):
         factor_integer_poly((2, 1))
+
+
+@pytest.mark.parametrize("b", [(2, 1), (-1, 0, 3), (), (0, 0)])
+def test_poly_divmod_rejects_non_monic(b):
+    # integer division stays exact only by a monic divisor
+    with pytest.raises(ValueError, match="monic"):
+        poly_divmod((1, 2, 3), b)
 
 
 @st.composite

@@ -38,19 +38,41 @@ EXPECTED_HEIGHTS = {
 }
 
 
-@pytest.mark.parametrize("name, expected", sorted(EXPECTED_HEIGHTS.items()))
+@pytest.mark.parametrize(
+    "name, expected",
+    # 0 -> 0 is the one primitive input with q = 1: its fixed point returns at every k
+    sorted(EXPECTED_HEIGHTS.items()) + [pytest.param("0 -> 0\n", (1, 1), id="one_letter")],
+)
 def test_compute_height_corpus(name, expected):
-    info = compute_height(load(name))
+    info = compute_height(parse_substitution(name) if "->" in name else load(name))
     assert (info.g0, info.h) == expected
+
+
+def prefix_return_gcd(z, n):
+    """gcd of the returns of the first letter of U within its first n symbols."""
+    letter, power = seed_letter(z)
+    u = fixed_point_prefix(z, letter, power, n)
+    return int(np.gcd.reduce(np.nonzero(u[1:] == u[0])[0] + 1))
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_HEIGHTS))
 def test_height_matches_brute_force_gcd(name):
     z = load(name)
-    letter, power = seed_letter(z)
-    u = fixed_point_prefix(z, letter, power, 10**5)
-    positions = np.nonzero(u[1:] == u[0])[0] + 1
-    assert compute_height(z).g0 == int(np.gcd.reduce(positions))
+    assert compute_height(z).g0 == prefix_return_gcd(z, 10**5)
+
+
+def chain_substitution(m):
+    """0 -> 0 1 1, i -> (i+1)^3 for 1 <= i <= m - 2, (m-1) -> 0 (m-1) 1: primitive
+    and aperiodic, with g0 = 3 and the first return of letter 0 at 3^(m-1)."""
+    rules = ["0 -> 0 1 1"] + [f"{i} -> {i + 1} {i + 1} {i + 1}" for i in range(1, m - 1)]
+    return parse_substitution("\n".join(rules + [f"{m - 1} -> 0 {m - 1} 1"]) + "\n")
+
+
+def test_height_of_long_chain_builds_no_prefix():
+    # a prefix scan for the first return of 0 would need 3^19 symbols here,
+    # past the symbol budget
+    info = compute_height(chain_substitution(20))
+    assert (info.g0, info.h) == (3, 1)
 
 
 def test_modified_rudin_shapiro_first_returns_are_misleading():
@@ -58,10 +80,7 @@ def test_modified_rudin_shapiro_first_returns_are_misleading():
     # position divisible by 3, yet the full gcd is 1 — the case that rules
     # out any scan-until-stable heuristic.
     z = load("modified_rudin_shapiro")
-    letter, power = seed_letter(z)
-    u = fixed_point_prefix(z, letter, power, 64)
-    positions = np.nonzero(u[1:] == u[0])[0] + 1
-    assert int(np.gcd.reduce(positions)) == 3  # the lie told by short prefixes
+    assert prefix_return_gcd(z, 64) == 3  # the lie told by short prefixes
     assert compute_height(z).g0 == 1  # the truth
 
 
@@ -162,6 +181,14 @@ def test_pure_base_is_the_aligned_block_substitution(rules):
     assert blocks == [tuple(int(x) for x in grid[i]) for i in sorted(first)]
 
 
+@settings(max_examples=100, deadline=None)
+@given(graded_substitutions())
+def test_height_matches_prefix_gcd_on_graded_draws(rules):
+    z = parse_substitution(rules)
+    assume(is_primitive(z).primitive)
+    assert compute_height(z).g0 == prefix_return_gcd(z, 10**5)
+
+
 def test_pure_base_spectrum_matches_original_away_from_trivial_roots():
     z = load("height_two")
     eta = pure_base(z).eta
@@ -209,11 +236,6 @@ def test_return_words_with_seed_power_two():
     p1 = char_poly(substitution_matrix(w))
     p2 = char_poly(substitution_matrix(system.theta))
     assert spectrum_difference_is_trivial(p1, p2).trivial
-
-
-def test_return_words_reject_non_prefix():
-    with pytest.raises(ValueError):
-        return_words(load("thue_morse"), u=(1, 0))
 
 
 # ---------------------------------------------------------------------------
