@@ -121,16 +121,17 @@ def compute_height(z: Substitution) -> HeightInfo:
 def _compute_height(z: Substitution, q: int) -> HeightInfo:
     """`compute_height` of a primitive substitution of constant length q.
 
-    U_j = z^j(U), j mod p, satisfy U_{j+1} = z(U_j).  With q >= 2, a
-    position n >= 1 of c in U_{j+1} is q*r + i for a position r < n of b in
-    U_j with z(b)_i = c (position 0 comes from position 0 of U_j).  For
-    each (j, c) seen, keep one position first[j, c] and the gcd g[j, c] of
-    the offsets from it of the other positions found so far; each update
-    adds only differences of real positions.  At the fixpoint, induction on
-    n (and on j at n = 0) puts every position at first mod g, so g is the
-    exact gcd and g0 = g[0, a].  Each g only moves down in the divisor
-    order, so the worklist empties.  With q = 1 the only primitive input is
-    a -> a, whose fixed point returns at every k.
+    With (a, p) = `seed_letter(z)`, U_j = z^j(U) for j mod p satisfy
+    U_{j+1} = z(U_j).  With q >= 2, a position n >= 1 of c in U_{j+1} is
+    q*r + i for a position r < n of b in U_j with z(b)_i = c.  For each
+    (j, c) seen, keep one position first[j, c] and the gcd g[j, c] of the
+    offsets from it of the other positions found so far; each update adds
+    only differences of real positions.  At the fixpoint, induction on n
+    (on j at n = 0, where U_{j+1} starts with z(U_j[0])[0]) puts every
+    position at first mod g, so g is the exact gcd and g0 = g[0, a].  Each
+    g only moves down in the divisor order, so the worklist empties.  With
+    q = 1 the only primitive input is a -> a, whose fixed point returns at
+    every k.
     """
     letter, power = seed_letter(z)
     first, g = {(0, letter): 0}, {(0, letter): 0}
