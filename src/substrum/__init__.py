@@ -43,7 +43,6 @@ from .reduction import (
     PureBase,
     compute_height,
     pure_base,
-    return_words,
     spectrum_difference_is_trivial,
 )
 from .coincidence import (

@@ -26,7 +26,7 @@ from .core import (
 )
 from .corpus import write_corpus
 from .eigen import _has_modulus_sqrt_q, char_poly
-from .estimator import DEFAULT_LAGS, DEFAULT_PREFIX, _fit_function, dimension_fit
+from .estimator import DEFAULT_LAGS, DEFAULT_PREFIX, _fit_function, _function_weights, dimension_fit
 from .reduction import pure_base
 from .report import (
     SCHEMA_VERSION,
@@ -160,7 +160,8 @@ def _cmd_estimate_dim(args) -> int:
         if value < least:
             raise _fail(EXIT_USAGE, f"{flag} must be >= {least}, got {value}")
     try:
-        f = _fit_function(z, f, args.prefix)
+        f = _fit_function(f)
+        _function_weights(z, f, args.prefix)
     except ValueError as exc:
         raise _fail(EXIT_USAGE, f"--function {args.function!r}: {exc}") from exc
     try:

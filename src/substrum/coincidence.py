@@ -18,7 +18,8 @@ elsewhere in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .core import (
@@ -95,12 +96,17 @@ def coincidence_matrix(z: Substitution) -> IntMatrix:
 class ErgodicClassification:
     """Ergodic classes E_0..E_{k-1} (E_0 = diagonal), transitive pairs T, and
     the least power j at which C^j is entrywise positive on every class
-    block (None if not reached within the Wielandt-style search bound)."""
+    block (None if not reached within the Wielandt-style search bound),
+    searched on first use from C's support rows and classes in _support."""
 
     classes: tuple[tuple[tuple[int, int], ...], ...]
     transitive: tuple[tuple[int, int], ...]
     k: int
-    stabilizing_power: Optional[int]
+    _support: tuple[list[int], list[list[int]]] = field(repr=False, compare=False)
+
+    @cached_property
+    def stabilizing_power(self) -> Optional[int]:
+        return _stabilizing_power(*self._support)
 
 
 def ergodic_classes(z: Substitution) -> ErgodicClassification:
@@ -160,7 +166,7 @@ def _ergodic_classes(z: Substitution) -> ErgodicClassification:
         classes=classes,
         transitive=trans,
         k=len(classes),
-        stabilizing_power=_stabilizing_power(support, class_indices),
+        _support=(support, class_indices),
     )
 
 

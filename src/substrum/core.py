@@ -381,11 +381,6 @@ def _pack(word: Sequence[int], m: int) -> bytes:
     return array(_symbol_code(m), word).tobytes()
 
 
-def _unpack(packed: bytes, m: int) -> tuple[int, ...]:
-    """Inverse of `_pack`."""
-    return tuple(memoryview(packed).cast(_symbol_code(m)))
-
-
 def _fixed_point_bytes(
     z: Substitution,
     letter: int,

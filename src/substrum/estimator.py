@@ -353,16 +353,16 @@ class DimensionEstimate:
     kappa_corrected: bool
 
 
-def _fit_function(z: Substitution, f, L: int) -> list[Fraction]:
-    """f as rationals for `dimension_fit`, or ValueError before any counting:
-    one real rational per letter, not all zero, with finite float64 weights."""
+def _fit_function(f) -> list[Fraction]:
+    """f as rationals for `dimension_fit`, or ValueError: real rationals, not
+    all zero.  One per letter, with finite float64 weights, is checked by
+    `_function_weights`, which `correlations` runs before any counting."""
     try:
         rational_f = [Fraction(x) for x in f]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError("dimension prediction needs rational real coefficients") from exc
     if not any(rational_f):
         raise ValueError("f must be nonzero")
-    _function_weights(z, rational_f, L)
     return rational_f
 
 
@@ -398,7 +398,7 @@ def dimension_fit(
     if any(n < 1 for n in scales):
         raise ValueError("scales are exponents n >= 1 of r = q^-n")
 
-    rational_f = _fit_function(z, f, L)
+    rational_f = _fit_function(f)
     table = correlations(z, rational_f, K, L)
     elim = j_pr_kappa(substitution_matrix(z), rational_f)
     theta_mod = float((elim.theta_modulus_lo + elim.theta_modulus_hi) / 2)

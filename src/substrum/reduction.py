@@ -1,4 +1,4 @@
-"""Height, pure base, and return words of constant-length substitutions.
+"""Height and pure base of constant-length substitutions.
 
 The one-sided fixed point U of a primitive aperiodic length-q substitution
 can carry a hidden rotation factor: with g0 = gcd{k >= 1 : u_k = u_0}, the
@@ -7,23 +7,32 @@ splits over a cyclic rotation, and the spectral analysis should be run on
 the *pure base*: the substitution eta induced on the alphabet of h-blocks
 of U that start at positions h*k.
 
-U is the fixed point of w = zeta^p, where (a, p) = `seed_letter(zeta)`, so
-U = w(U) with Q = q^p.  Everything here is read off that self-similarity
-by a finite closure rather than by scanning prefixes of U: g0 by one gcd
-per letter over "zeta^(j+1)(U) at q*r + i holds zeta(b)_i for the b at r
-in zeta^j(U)", the aligned h-blocks as the closure of U[0:h] under "cut
-w(B) into Q blocks", and the return words of U[0:h] as the closure of the
-first return word under "cut w(v)u at the occurrences of u".  For p = 1,
-eta has length q; for p > 1 it is the pure base of w, with images of
-length q^p (Dekking coincidence is invariant under powers).  The blocking
-map phi intertwines eta with w, phi(eta(i)) = w(phi(i)).
+U is the fixed point of zeta^p at a, where (a, p) = `seed_letter(zeta)`,
+and U_j = zeta^j(U), j mod p, satisfy U_{j+1} = zeta(U_j).  Everything
+here is read off that self-similarity by a finite closure instead of a
+scan of U: g0 by one gcd per letter over "U_{j+1} at q*r + i holds
+zeta(b)_i for the b at r in U_j", and the aligned h-blocks by closing
+U[0:h] under "cut an image into blocks of length h".
 
-Return words of the prefix u = U[0:h] (the words between consecutive
-occurrences of u) give another derived substitution theta, used here as a
-cross-check: the substitution matrices of zeta, eta and theta all share
-their spectrum away from 0 and the roots of unity, so
-`spectrum_difference_is_trivial` strips x and cyclotomic factors from two
-characteristic polynomials and compares what is left.
+Each letter occurs in U at one residue mod h only (Dekking), and so in
+every U_j, which lies in the same minimal subshift.  So the aligned
+blocks of U_j are the length-h words of the language that start in U_j's
+phase, the residue class of U_j[0]: U_j of one phase share them, and
+different phases share none.  Cutting zeta(B) into q blocks takes the
+aligned blocks of U_j to those of U_{j+1}, so the closure of U[0:h] under
+it, the phase graph, holds those of every U_j, and each edge steps to the
+next phase in the cycle of phases.  With breadth-first levels, d = gcd
+over its edges B -> C of level(B) + 1 - level(C) is thus a multiple of
+the number of phases, and d divides p, since the first blocks of the U_j
+form a cycle of length p.  Closing U[0:h] under zeta^d then collects the
+aligned blocks of U_0, U_d, U_2d, ...: exactly the aligned blocks of U.
+eta maps each to the q^d blocks of zeta^d(B), so the blocking map phi
+intertwines eta with zeta^d, phi(eta(i)) = zeta^d(phi(i)); d = 1 when
+p = 1, and Dekking coincidence is invariant under powers.
+
+`spectrum_difference_is_trivial` compares two characteristic polynomials
+away from 0 and the roots of unity, where the substitution matrices of
+zeta^d and eta share their spectrum.
 """
 
 from __future__ import annotations
@@ -33,12 +42,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
-    Alphabet,
     Substitution,
     _derived_alphabet,
-    _fixed_point_bytes,
-    _pack,
-    _unpack,
     constant_length,
     is_primitive,
     power_substitution,
@@ -49,11 +54,9 @@ from .exactlin import poly_divmod, poly_gcd
 __all__ = [
     "HeightInfo",
     "PureBase",
-    "ReturnWordSystem",
     "SpectrumComparison",
     "compute_height",
     "pure_base",
-    "return_words",
     "spectrum_difference_is_trivial",
 ]
 
@@ -77,35 +80,16 @@ def _require_primitive(z: Substitution) -> int:
 
 
 def _prefix(z: Substitution, letter: int, power: int, n: int) -> tuple[int, ...]:
-    """The first n symbols of U, the fixed point of z^power at letter."""
-    return _unpack(_fixed_point_bytes(z, letter, power, n), z.size)
+    """The first n symbols of U, the fixed point of z^power at letter.
 
-
-def _occurrences(word: bytes, u: bytes, width: int) -> list[int]:
-    """Symbol positions of all (possibly overlapping) occurrences of u in
-    word, both packed with `width` bytes per symbol."""
-    found = []
-    i = word.find(u)
-    while i >= 0:
-        if i % width == 0:  # a match straddling two symbols is no occurrence
-            found.append(i // width)
-        i = word.find(u, i + 1)
-    return found
-
-
-def _first_return(z: Substitution, letter: int, power: int, u: tuple[int, ...]) -> int:
-    """The first position k >= 1 where the prefix u of U occurs again.
-
-    U is uniformly recurrent for primitive z, so the doubling scan ends;
-    the prefix builder's symbol budget is the only cap.
+    The first n symbols of z(x) depend only on those of x, so each step
+    keeps n symbols and z^power is never built.
     """
-    packed = _pack(u, z.size)
-    n = 64 * len(u)
-    while True:
-        occ = _occurrences(_fixed_point_bytes(z, letter, power, n), packed, len(packed) // len(u))
-        if len(occ) >= 2:
-            return occ[1]
-        n *= 2
+    u = (letter,)
+    while len(u) < n:
+        for _ in range(power):
+            u = z.apply(u)[:n]
+    return u
 
 
 def compute_height(z: Substitution) -> HeightInfo:
@@ -132,6 +116,11 @@ def _compute_height(z: Substitution, q: int) -> HeightInfo:
     g only moves down in the divisor order, so the worklist empties.  With
     q = 1 the only primitive input is a -> a, whose fixed point returns at
     every k.
+
+    No input pins the q*g[s] that a newly seen pair t takes from its source
+    s: were g[t] = 0 there, each pair would be seen with g = 0, so s, when
+    processed with g[s] != 0, was pushed again as g[s] changed, and that
+    later pass gives t q*g[s] for a g[s] dividing the earlier one.
     """
     letter, power = seed_letter(z)
     first, g = {(0, letter): 0}, {(0, letter): 0}
@@ -175,8 +164,11 @@ class PureBase:
     """Pure base eta on the alphabet of h-blocks, with the blocking map phi.
 
     phi is stored as (block_token, block_word) pairs in eta's alphabet
-    order; block_word is a tuple of original letter tokens of length h.
-    For height 1 this is the trivial reduction: eta = z, phi = identity.
+    order, which is the blocks' order of first appearance in U; block_word
+    is a tuple of original letter tokens of length h.  eta intertwines with
+    z^d for the phase period d of the module docstring, phi(eta(i)) =
+    z^d(phi(i)), so its images have length q^d.  For height 1 this is the
+    trivial reduction: eta = z, phi = identity.
     """
 
     eta: Substitution
@@ -194,16 +186,62 @@ def _block_token(tokens: Sequence[str]) -> str:
     return "-".join(tokens)
 
 
+def _cut(w: Substitution, h: int):
+    """B -> w(B) cut into blocks of length h."""
+    def cut(B):
+        img = w.apply(B)
+        return [img[i : i + h] for i in range(0, len(img), h)]
+    return cut
+
+
+def _phase_period(z: Substitution, u: tuple[int, ...]) -> int:
+    """d = gcd over the edges B -> C of the phase graph of level(B) + 1 - level(C).
+
+    `_closure` discovers breadth-first, so the first row that names a block
+    is its parent's, and every row names only blocks already levelled.
+    """
+    _, rows = _closure(u, _cut(z, len(u)))
+    level = [0] + [None] * (len(rows) - 1)
+    d = 0
+    for i, row in enumerate(rows):
+        for j in row:
+            if level[j] is None:
+                level[j] = level[i] + 1
+            d = math.gcd(d, level[i] + 1 - level[j])
+    return d
+
+
+def _first_appearance(images: tuple[tuple[int, ...], ...], power: int) -> dict[int, int]:
+    """Each letter's rank in order of first appearance in the fixed point at
+    0 of the power-th power of the substitution with these images, keyed in
+    that order: the power's breadth-first discovery order, each image
+    spelled out left to right only until every letter is named."""
+    order, rank = [0], {0: 0}
+    for b in order:  # grows while it is walked
+        stack = [(b, power)]
+        while stack and len(order) < len(images):
+            c, k = stack.pop()
+            if k:
+                stack += [(x, k - 1) for x in reversed(images[c])]
+            elif c not in rank:
+                rank[c] = len(order)
+                order.append(c)
+    if len(order) < len(images):
+        raise RuntimeError("the pure base has a block that its fixed point never shows")
+    return rank
+
+
 def pure_base(z: Substitution) -> PureBase:
     """Dekking's pure base: the induced substitution on h-blocks of U.
 
-    With w = z^p and Q = q^p as in the module docstring, the block at
-    position h*k of U = w(U) expands to the Q aligned blocks at positions
-    h*(Q*k + i), i < Q.  So the closure of {U[0:h]} under "cut w(B) into Q
-    blocks of length h" is exactly the set of aligned blocks of U, and its
-    breadth-first discovery order is their order of first appearance in U
-    (block k >= 1 comes from block k // Q < k).  eta maps each block letter
-    to those Q blocks; phi(eta(i)) = w(phi(i)) is checked on every letter.
+    With the phase period d of the module docstring, the closure of
+    {U[0:h]} under "cut z^d(B) into q^d blocks of length h" is exactly the
+    set of aligned blocks of U, and eta maps each block letter to those
+    q^d blocks; phi(eta(i)) = z^d(phi(i)) is checked on every letter.  The
+    letters are named in order of first appearance in U = z^p(U): the block
+    at position h*k expands under z^p to the blocks at h*(q^p*k + i), so
+    that order is the breadth-first discovery order of eta^(p/d), which is
+    walked only until every block is named.
     """
     return _pure_base(z, _compute_height(z, _require_primitive(z)).h)
 
@@ -216,68 +254,22 @@ def _pure_base(z: Substitution, h: int) -> PureBase:
         return PureBase(eta=z, phi=phi, height=1)
 
     letter, power = seed_letter(z)
-    w = power_substitution(z, power)
-    Q = constant_length(w)
-
-    def cut(B):
-        img = w.apply(B)
-        return [img[i * h : (i + 1) * h] for i in range(Q)]
-
-    blocks, images = _closure(_prefix(z, letter, power, h), cut)
+    u = _prefix(z, letter, power, h)
+    d = _phase_period(z, u)
+    w = power_substitution(z, d)
+    blocks, images = _closure(u, _cut(w, h))
+    rank = _first_appearance(images, power // d)
+    blocks = [blocks[b] for b in rank]
+    images = tuple(tuple(rank[c] for c in images[b]) for b in rank)
     eta = Substitution(_derived_alphabet(_block_token([tok(a) for a in B]) for B in blocks), images)
     tokens = eta.alphabet.letters
 
     for i, B in enumerate(blocks):
         if tuple(x for j in eta.images[i] for x in blocks[j]) != w.apply(B):
-            raise RuntimeError(f"blocking map does not intertwine eta and z^{power} at block {tokens[i]}")
+            raise RuntimeError(f"blocking map does not intertwine eta and z^{d} at block {tokens[i]}")
 
     phi = tuple((tokens[i], tuple(tok(a) for a in B)) for i, B in enumerate(blocks))
     return PureBase(eta=eta, phi=phi, height=h)
-
-
-@dataclass(frozen=True)
-class ReturnWordSystem:
-    """Return words of the prefix u = U[0:h] of U, with the derived substitution theta.
-
-    words[i] is the return word named by theta's i-th letter (token "r<i>"),
-    in order of first appearance in U.  Each return word v satisfies: u is a
-    prefix of v*u, and u occurs in v*u exactly twice (at the ends).
-    """
-
-    u: tuple[int, ...]
-    words: tuple[tuple[int, ...], ...]
-    theta: Substitution
-
-
-def return_words(z: Substitution) -> ReturnWordSystem:
-    """Return words of the prefix u = U[0:h] of the fixed point U.
-
-    u is the first h-block of U (the image of the first pure-base letter),
-    the prefix the height reduction distinguishes.  With w = z^p as in the
-    module docstring: if v is the return word at an occurrence i of u, then
-    U = w(U) holds w(v)u at position Q*i, and the occurrences of u in that
-    word are exactly the occurrences of u in U there, so cutting at them
-    gives the return words of U at those occurrences, in order.  These
-    windows tile U, so the closure of the first return word under v ->
-    pieces of w(v)u is the set of all return words, discovered in order of
-    first appearance.  theta(v) is that decomposition of w(v).
-    """
-    q = _require_primitive(z)
-    letter, power = seed_letter(z)
-    u = _prefix(z, letter, power, _compute_height(z, q).h)
-    w = power_substitution(z, power)
-    packed = _pack(u, z.size)
-
-    def cut(v):
-        img = w.apply(v) + u
-        cuts = _occurrences(_pack(img, z.size), packed, len(packed) // len(u))
-        if cuts[0] != 0:
-            raise RuntimeError(f"u is not a prefix of z^{power}(v)u for return word {v}")
-        return [img[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
-
-    words, images = _closure(_prefix(z, letter, power, _first_return(z, letter, power, u)), cut)
-    alphabet = Alphabet(tuple(f"r{i}" for i in range(len(words))))
-    return ReturnWordSystem(u=u, words=tuple(words), theta=Substitution(alphabet, images))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +342,8 @@ def spectrum_difference_is_trivial(p1, p2) -> SpectrumComparison:
     """Do two monic integer characteristic polynomials share their spectrum
     away from 0 and the roots of unity?
 
-    Strips all factors x and all cyclotomic factors Phi_d from both (exact
+    Its use is to compare a substitution with its pure base: S_eta and
+    S_{z^d}, for the z^d that eta intertwines with, must pass.  Strips all factors x and all cyclotomic factors Phi_d from both (exact
     integer division, d up to 2*max(deg)^2 which covers every cyclotomic
     polynomial that could divide), then cancels the common factor.  trivial
     is true iff nothing is left on either side.

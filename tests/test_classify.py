@@ -204,6 +204,15 @@ def test_classify_checks_primitivity_once(name, count_calls):
     assert calls == {"is_primitive": 1}
 
 
+@pytest.mark.parametrize("name", [e.name for e in CORPUS])
+def test_classify_searches_one_stabilizing_power(name, count_calls):
+    # no verdict reads the ergodic classes' stabilizing power, which only
+    # analyze --json prints, so the one search is is_primitive's witness
+    core = importlib.import_module("substrum.core")
+    calls = count_calls((core._stabilizing_power,), lambda: classify(load(name)))
+    assert calls == {"_stabilizing_power": 1}
+
+
 def test_height_two_evidence():
     verdict = classify(load("height_two"))
     assert verdict.evidence["pure_base_size"] == 6

@@ -322,6 +322,28 @@ def test_long_chain_exits_0(run_cli, tmp_path, command):
         assert out.stdout.startswith("# height: 1\n")
 
 
+@pytest.mark.parametrize("command", ["classify", "purebase"])
+def test_cyclic_seed_power_exits_0_quickly(run_cli, tmp_path, command):
+    # i -> (i+1) i (i+3) mod 10 needs the seed power p = 10, but its pure
+    # base intertwines with z^2: 25 blocks with images of length 9, not 3^10
+    # (the timeout turns a stall into a failure)
+    path = tmp_path / "cyclic.sub"
+    path.write_text("".join(f"{i} -> {(i + 1) % 10} {i} {(i + 3) % 10}\n" for i in range(10)))
+    out = run_cli(command, str(path), timeout=10)
+    assert out.returncode == 0, out.stderr
+    if command == "classify":
+        report = json.loads(out.stdout)
+        assert report["verdict"]["verdict"] == "Singular"
+        assert report["verdict"]["reasons"] == ["NoSqrtQEigenvalue"]
+        assert (report["evidence"]["pure_base_size"], report["evidence"]["k"]) == (25, 5)
+    else:
+        lines = out.stdout.splitlines()
+        assert lines[0] == "# height: 2"
+        rules = [line.split() for line in lines if not line.startswith("#")]
+        assert len(rules) == 25
+        assert all(len(rule) == 2 + 9 for rule in rules)
+
+
 # letters named with the characters that join derived letter names: height_two
 # relabelled so that its h-blocks (a-b, c) and (a, b-c) both join to "a-b-c",
 # and a substitution whose pairs (a,b, c) and (a, b,c) both read "(a,b,c)"

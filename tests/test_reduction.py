@@ -1,4 +1,4 @@
-"""Height, pure base, return words, and spectrum comparison."""
+"""Height, pure base, and spectrum comparison."""
 
 import math
 
@@ -8,7 +8,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from substrum.core import (
-    _pack,
     fixed_point_prefix,
     is_aperiodic_pansiot,
     is_primitive,
@@ -19,13 +18,7 @@ from substrum.core import (
 )
 from substrum.corpus import load
 from substrum.eigen import char_poly
-from substrum.reduction import (
-    _occurrences,
-    compute_height,
-    pure_base,
-    return_words,
-    spectrum_difference_is_trivial,
-)
+from substrum.reduction import compute_height, pure_base, spectrum_difference_is_trivial
 
 EXPECTED_HEIGHTS = {
     "thue_morse": (1, 1),
@@ -153,12 +146,20 @@ def graded_substitutions(draw):
     )
 
 
+def cyclic_substitution(m):
+    """i -> (i+1) i (i+3), indices mod m: the seed letter needs the power
+    p = m, h = 2, and the sequences z^j(U) fall in 2 phases."""
+    return "".join(f"{i} -> {(i + 1) % m} {i} {(i + 3) % m}\n" for i in range(m))
+
+
 @settings(max_examples=80, deadline=None)
 @given(graded_substitutions())
 # p = 2, h = 3 and p = 2, h = 2: the inputs whose pure base the old prefix
 # scan never closed
 @example("0 -> 1 2\n1 -> 2 3\n2 -> 1 0\n3 -> 3 1\n")
 @example("0 -> 3 0 1\n1 -> 2 1 0\n2 -> 1 2 3\n3 -> 0 3 2\n")
+# p = 8 and d = 2: eta intertwines with a lower power than z^p
+@example(cyclic_substitution(8))
 def test_pure_base_is_the_aligned_block_substitution(rules):
     z = parse_substitution(rules)
     assume(is_primitive(z).primitive and is_aperiodic_pansiot(z).aperiodic)
@@ -166,17 +167,23 @@ def test_pure_base_is_the_aligned_block_substitution(rules):
     assume(h > 1)
     base = pure_base(z)
     letter, power = seed_letter(z)
-    w = power_substitution(z, power)
+    prefix = fixed_point_prefix(z, letter, power, h * 10**4)
+    # d is the number of phases: the least j >= 1 such that z^j(U) starts
+    # with a letter that U holds at multiples of h
+    d, x = 1, z.images[letter][0]
+    while np.flatnonzero(prefix == x)[0] % h:
+        d, x = d + 1, z.images[x][0]
+    w = power_substitution(z, d)
     tok_of = z.alphabet.index
     blocks = [tuple(tok_of(t) for t in word) for _, word in base.phi]
-    # phi o eta = w o phi on every block letter, with images of length q^p
+    # phi o eta = z^d o phi on every block letter, with images of length q^d
     for i, B in enumerate(blocks):
         assert len(base.eta.images[i]) == len(w.images[0])
         assert tuple(x for j in base.eta.images[i] for x in blocks[j]) == w.apply(B)
     assert compute_height(base.eta).h == 1
     # the blocks are the aligned h-blocks of U, in order of first appearance;
     # over 2000 draws of this family every block had appeared by block 56
-    grid = fixed_point_prefix(z, letter, power, h * 10**4).reshape(-1, h)
+    grid = prefix.reshape(-1, h)
     _, first = np.unique(grid, axis=0, return_index=True)
     assert blocks == [tuple(int(x) for x in grid[i]) for i in sorted(first)]
 
@@ -197,45 +204,15 @@ def test_pure_base_spectrum_matches_original_away_from_trivial_roots():
     assert spectrum_difference_is_trivial(p1, p2).trivial
 
 
-# ---------------------------------------------------------------------------
-# Return words
-# ---------------------------------------------------------------------------
-
-def test_return_words_thue_morse():
-    z = load("thue_morse")
-    system = return_words(z)
-    assert system.u == (0,)
-    # check the defining property of each reported word rather than pinning
-    # the list: u prefixes v+u and u occurs in v+u exactly at the two ends
-    for word in system.words:
-        vu = word + system.u
-        occurrences = [
-            i for i in range(len(vu)) if vu[i : i + len(system.u)] == system.u
-        ]
-        assert occurrences[0] == 0 and occurrences[-1] == len(word)
-        assert len(occurrences) == 2
-
-
-def test_return_word_substitution_shares_spectrum():
-    z = load("thue_morse")
-    system = return_words(z)
-    p1 = char_poly(substitution_matrix(z))
-    p2 = char_poly(substitution_matrix(system.theta))
-    assert spectrum_difference_is_trivial(p1, p2).trivial
-
-
-def test_return_words_with_seed_power_two():
-    # z(0) starts with 1, so U is the fixed point of w = z^2 and z(U) != U
-    z = parse_substitution("0 -> 1 0\n1 -> 0 1\n")
-    system = return_words(z)
-    assert system.u == (0,)
-    assert system.words == ((0, 1, 1), (0, 1), (0,))
-    w = power_substitution(z, 2)
-    for word, image in zip(system.words, system.theta.images):
-        assert w.apply(word) == tuple(x for i in image for x in system.words[i])
-    p1 = char_poly(substitution_matrix(w))
-    p2 = char_poly(substitution_matrix(system.theta))
-    assert spectrum_difference_is_trivial(p1, p2).trivial
+def test_pure_base_with_seed_power_shares_the_spectrum_of_z_to_the_d():
+    # p = 8 and d = 2: eta intertwines with z^2, not with z, so S_eta shares
+    # the spectrum of S_z^2 away from 0 and the roots of unity, and not S_z's
+    z = parse_substitution(cyclic_substitution(8))
+    eta = pure_base(z).eta
+    assert len(eta.images[0]) == 3**2
+    p_eta = char_poly(substitution_matrix(eta))
+    assert spectrum_difference_is_trivial(char_poly(substitution_matrix(power_substitution(z, 2))), p_eta).trivial
+    assert not spectrum_difference_is_trivial(char_poly(substitution_matrix(z)), p_eta).trivial
 
 
 # ---------------------------------------------------------------------------
@@ -253,31 +230,3 @@ def test_spectrum_difference_trivial_cases():
     assert not cmp.trivial
     # cyclotomic factors are ignored: (x-2)(x-1)(x+1) vs (x-2)(x^2+x+1)
     assert spectrum_difference_is_trivial((1, -2, -1, 2), (1, -1, -1, -2)).trivial
-
-
-def numpy_occurrences(word, u):
-    """Reference: start positions of all occurrences of u, by numpy masks."""
-    word = np.asarray(word, dtype=np.int64)
-    n, k = len(word), len(u)
-    if n < k:
-        return []
-    mask = np.ones(n - k + 1, dtype=bool)
-    for j, a in enumerate(u):
-        mask &= word[j : n - k + 1 + j] == a
-    return [int(i) for i in np.nonzero(mask)[0]]
-
-
-# letters whose packed bytes overlap across symbol boundaries: 1 and 256 are
-# 01 00 and 00 01 in two bytes, so 0 = 00 00 is found straddling them
-@pytest.mark.parametrize("m, letters", [
-    (2, (0, 1)),
-    (257, (0, 1, 256)),
-    (70000, (0, 1, 256, 65536, 65537)),
-])
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_occurrences_match_numpy_reference(m, letters, data):
-    word = data.draw(st.lists(st.sampled_from(letters), max_size=60))
-    u = data.draw(st.lists(st.sampled_from(letters), min_size=1, max_size=4))
-    found = _occurrences(_pack(word, m), _pack(u, m), len(_pack([0], m)))
-    assert found == numpy_occurrences(word, u)
