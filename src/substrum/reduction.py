@@ -37,6 +37,7 @@ zeta^d and eta share their spectrum.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -211,24 +212,28 @@ def _phase_period(z: Substitution, u: tuple[int, ...]) -> int:
     return d
 
 
-def _first_appearance(images: tuple[tuple[int, ...], ...], power: int) -> dict[int, int]:
+def _first_appearance(images: tuple[tuple[int, ...], ...], phases: int) -> dict[int, int]:
     """Each letter's rank in order of first appearance in the fixed point at
-    0 of the power-th power of the substitution with these images, keyed in
-    that order: the power's breadth-first discovery order, each image
-    spelled out left to right only until every letter is named."""
-    order, rank = [0], {0: 0}
-    for b in order:  # grows while it is walked
-        stack = [(b, power)]
-        while stack and len(order) < len(images):
-            c, k = stack.pop()
-            if k:
-                stack += [(x, k - 1) for x in reversed(images[c])]
-            elif c not in rank:
-                rank[c] = len(order)
-                order.append(c)
+    0 of the phases-th power of the substitution with these images.
+
+    Let beta_k be that fixed point after k more steps, k mod phases, so
+    beta_0 is the fixed point.  Position Q*n + i of beta_(k+1) holds
+    images[c][i] for the letter c at n in beta_k, with Q the image length.
+    That never moves a position down, so Dijkstra's order settles each
+    (k, letter) at its first position without spelling any beta_k out.
+    """
+    Q = len(images[0])
+    first, heap = {}, [(0, 0, 0)]
+    while heap:
+        n, k, c = heapq.heappop(heap)
+        if (k, c) not in first:
+            first[k, c] = n
+            for i, x in enumerate(images[c]):
+                heapq.heappush(heap, (Q * n + i, (k + 1) % phases, x))
+    order = sorted((n, c) for (k, c), n in first.items() if k == 0)
     if len(order) < len(images):
         raise RuntimeError("the pure base has a block that its fixed point never shows")
-    return rank
+    return {c: rank for rank, (_, c) in enumerate(order)}
 
 
 def pure_base(z: Substitution) -> PureBase:
@@ -238,10 +243,8 @@ def pure_base(z: Substitution) -> PureBase:
     {U[0:h]} under "cut z^d(B) into q^d blocks of length h" is exactly the
     set of aligned blocks of U, and eta maps each block letter to those
     q^d blocks; phi(eta(i)) = z^d(phi(i)) is checked on every letter.  The
-    letters are named in order of first appearance in U = z^p(U): the block
-    at position h*k expands under z^p to the blocks at h*(q^p*k + i), so
-    that order is the breadth-first discovery order of eta^(p/d), which is
-    walked only until every block is named.
+    letters are named in order of first appearance in U, the fixed point of
+    eta^(p/d) at U[0:h], by first positions found without spelling U out.
     """
     return _pure_base(z, _compute_height(z, _require_primitive(z)).h)
 
@@ -343,10 +346,11 @@ def spectrum_difference_is_trivial(p1, p2) -> SpectrumComparison:
     away from 0 and the roots of unity?
 
     Its use is to compare a substitution with its pure base: S_eta and
-    S_{z^d}, for the z^d that eta intertwines with, must pass.  Strips all factors x and all cyclotomic factors Phi_d from both (exact
-    integer division, d up to 2*max(deg)^2 which covers every cyclotomic
-    polynomial that could divide), then cancels the common factor.  trivial
-    is true iff nothing is left on either side.
+    S_{z^d}, for the z^d that eta intertwines with, must pass.  Strips all
+    factors x and all cyclotomic factors Phi_d from both (exact integer
+    division, d up to 2*max(deg)^2 which covers every cyclotomic polynomial
+    that could divide), then cancels the common factor.  trivial is true
+    iff nothing is left on either side.
     """
     c1, c2 = _coeffs(p1), _coeffs(p2)
     n = max(len(c1), len(c2)) - 1

@@ -322,13 +322,14 @@ def test_long_chain_exits_0(run_cli, tmp_path, command):
         assert out.stdout.startswith("# height: 1\n")
 
 
-@pytest.mark.parametrize("command", ["classify", "purebase"])
-def test_cyclic_seed_power_exits_0_quickly(run_cli, tmp_path, command):
-    # i -> (i+1) i (i+3) mod 10 needs the seed power p = 10, but its pure
-    # base intertwines with z^2: 25 blocks with images of length 9, not 3^10
-    # (the timeout turns a stall into a failure)
+@pytest.mark.parametrize("command, m", [("classify", 10), ("purebase", 10), ("purebase", 24)])
+def test_cyclic_seed_power_exits_0_quickly(run_cli, tmp_path, command, m):
+    # i -> (i+1) i (i+3) mod m needs the seed power p = m, but its pure base
+    # intertwines with z^2: (m/2)^2 blocks with images of length 9, not 3^m;
+    # at m = 24 the last block first shows far out in the fixed point (the
+    # timeout turns a stall into a failure)
     path = tmp_path / "cyclic.sub"
-    path.write_text("".join(f"{i} -> {(i + 1) % 10} {i} {(i + 3) % 10}\n" for i in range(10)))
+    path.write_text("".join(f"{i} -> {(i + 1) % m} {i} {(i + 3) % m}\n" for i in range(m)))
     out = run_cli(command, str(path), timeout=10)
     assert out.returncode == 0, out.stderr
     if command == "classify":
@@ -340,7 +341,7 @@ def test_cyclic_seed_power_exits_0_quickly(run_cli, tmp_path, command):
         lines = out.stdout.splitlines()
         assert lines[0] == "# height: 2"
         rules = [line.split() for line in lines if not line.startswith("#")]
-        assert len(rules) == 25
+        assert len(rules) == (m // 2) ** 2
         assert all(len(rule) == 2 + 9 for rule in rules)
 
 

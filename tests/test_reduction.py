@@ -147,8 +147,8 @@ def graded_substitutions(draw):
 
 
 def cyclic_substitution(m):
-    """i -> (i+1) i (i+3), indices mod m: the seed letter needs the power
-    p = m, h = 2, and the sequences z^j(U) fall in 2 phases."""
+    """i -> (i+1) i (i+3), indices mod an even m: the seed letter needs the
+    power p = m, h = 2, and the sequences z^j(U) fall in 2 phases."""
     return "".join(f"{i} -> {(i + 1) % m} {i} {(i + 3) % m}\n" for i in range(m))
 
 
@@ -170,9 +170,9 @@ def test_pure_base_is_the_aligned_block_substitution(rules):
     prefix = fixed_point_prefix(z, letter, power, h * 10**4)
     # d is the number of phases: the least j >= 1 such that z^j(U) starts
     # with a letter that U holds at multiples of h
-    d, x = 1, z.images[letter][0]
-    while np.flatnonzero(prefix == x)[0] % h:
-        d, x = d + 1, z.images[x][0]
+    d, b = 1, z.images[letter][0]
+    while np.flatnonzero(prefix == b)[0] % h:
+        d, b = d + 1, z.images[b][0]
     w = power_substitution(z, d)
     tok_of = z.alphabet.index
     blocks = [tuple(tok_of(t) for t in word) for _, word in base.phi]
