@@ -5,7 +5,16 @@ whether the spectrum of its dynamical system is purely discrete, provably
 singular (by exact eigenvalue criteria), or inconclusive — and corroborates
 the verdict numerically through correlation measures, local-dimension
 estimates at zero, and ergodic-sum growth exponents.
+
+The exact pipeline (core, eigen, reduction, coincidence, classify) is
+imported with the package.  The numerical side is not: the names taken from
+`decomposition` and `estimator` (`dimension_fit`, `correlations`,
+`extreme_points_Q`, ... — the keys of `_LAZY`) load their module on first
+access, so a caller that only classifies never compiles or runs it.  Until
+then `dir(substrum)` and `from substrum import *` omit them.
 """
+
+import importlib
 
 from .core import (
     Alphabet,
@@ -54,26 +63,49 @@ from .coincidence import (
     dekking_pure_discrete,
     ergodic_classes,
 )
-from .decomposition import (
-    CylindricalDecomposition,
-    ExtremePoints,
-    decompose_lambda,
-    eigenspace_F,
-    extreme_points_Q,
-    letter_frequencies,
-)
-from .estimator import (
-    BirkhoffGrowth,
-    CorrelationTable,
-    DimensionEstimate,
-    ball_mass,
-    birkhoff_growth,
-    correlations,
-    dimension_fit,
-    pair_correlations,
-    point_mass_at_zero,
-    renormalization_check,
-)
+
+# eager: importing the submodule `classify` binds the package attribute to the
+# module, and only this import rebinds it to the function
 from .classify import SpectralVerdict, classify
 
 __version__ = "0.1.0"
+
+# public name -> the submodule that defines it, imported on first access
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "CylindricalDecomposition",
+            "ExtremePoints",
+            "decompose_lambda",
+            "eigenspace_F",
+            "extreme_points_Q",
+            "letter_frequencies",
+        ),
+        "decomposition",
+    ),
+    **dict.fromkeys(
+        (
+            "BirkhoffGrowth",
+            "CorrelationTable",
+            "DimensionEstimate",
+            "ball_mass",
+            "birkhoff_growth",
+            "correlations",
+            "dimension_fit",
+            "pair_correlations",
+            "point_mass_at_zero",
+            "renormalization_check",
+        ),
+        "estimator",
+    ),
+}
+
+
+def __getattr__(name):
+    # PEP 562: runs only for names not yet in the package's globals
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

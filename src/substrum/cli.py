@@ -24,9 +24,7 @@ from .core import (
     render_substitution,
     substitution_matrix,
 )
-from .corpus import write_corpus
 from .eigen import _has_modulus_sqrt_q, char_poly
-from .estimator import DEFAULT_LAGS, DEFAULT_PREFIX, _fit_function, _function_weights, dimension_fit
 from .reduction import pure_base
 from .report import (
     SCHEMA_VERSION,
@@ -153,6 +151,14 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_estimate_dim(args) -> int:
+    # the estimator is imported here, not at module level, so that the exact
+    # commands never load it
+    from .estimator import DEFAULT_LAGS, DEFAULT_PREFIX, _fit_function, _function_weights, dimension_fit
+
+    if args.lags is None:
+        args.lags = DEFAULT_LAGS
+    if args.prefix is None:
+        args.prefix = DEFAULT_PREFIX
     z = _load(args.path)
     f = _parse_function(args.function)
     scales = _parse_scales(args.scales) if args.scales else None
@@ -199,6 +205,8 @@ def _cmd_estimate_dim(args) -> int:
 
 
 def _cmd_examples(args) -> int:
+    from .corpus import write_corpus
+
     directory = Path(args.directory)
     try:
         written = write_corpus(directory)
@@ -224,8 +232,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_estimator_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lags", type=int, default=DEFAULT_LAGS, help="correlation lags K")
-    p.add_argument("--prefix", type=int, default=DEFAULT_PREFIX, help="fixed-point prefix length L")
+    # None stands for the estimator's defaults, which _cmd_estimate_dim fills in
+    p.add_argument("--lags", type=int, default=None, help="correlation lags K")
+    p.add_argument("--prefix", type=int, default=None, help="fixed-point prefix length L")
 
 
 def build_parser() -> argparse.ArgumentParser:

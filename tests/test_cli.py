@@ -193,6 +193,23 @@ def test_estimate_dim_small_budget(run_cli, examples_dir, tmp_path):
     assert second.stdout == first.stdout
 
 
+def test_estimate_dim_defaults(run_cli, examples_dir, tmp_path):
+    # without --lags and --prefix the handler takes the estimator's defaults
+    path = str(examples_dir / "rudin_shapiro.sub")
+    csv_path = tmp_path / "dim.csv"
+    base = ("estimate-dim", path, "--function", "1,1,-1,-1", "--out", str(csv_path))
+    default = run_cli(*base)
+    assert default.returncode == 0, default.stderr
+    payload = json.loads(default.stdout)
+    assert (payload["lags"], payload["prefix"]) == (4096, 10_000_000)
+    default_csv = csv_path.read_bytes()
+    csv_path.unlink()
+    explicit = run_cli(*base, "--lags", "4096", "--prefix", "10000000")
+    assert explicit.returncode == 0, explicit.stderr
+    assert explicit.stdout == default.stdout
+    assert csv_path.read_bytes() == default_csv
+
+
 def test_estimate_dim_wrong_function_length(run_cli, examples_dir):
     out = run_cli(
         "estimate-dim",
@@ -388,7 +405,8 @@ def run(*argv):
     return code, out.getvalue()
 
 def heavy():
-    return sorted({'numpy', 'sympy'} & set(sys.modules))
+    return sorted({'numpy', 'sympy', 'substrum.estimator', 'substrum.decomposition', 'substrum.corpus'}
+                  & set(sys.modules))
 
 loaded = [heavy()]
 for path in sorted(pathlib.Path(sys.argv[1]).glob('*.sub')):
@@ -404,7 +422,8 @@ print(json.dumps({'loaded': loaded, 'code': code, 'report': json.loads(out),
 def test_cli_does_not_load_sympy_on_the_corpus(child_env, examples_dir, tmp_path):
     # every corpus factor has degree <= 2, so closed forms decide everything;
     # sympy is imported only to isolate roots of a degree-3 factor.  The
-    # exact pipeline is pure Python: only the estimators load numpy
+    # exact pipeline is pure Python: only the estimators load numpy, and only
+    # estimate-dim and examples load the estimator, decomposition and corpus
     deg3 = tmp_path / "deg3.sub"
     deg3.write_text("0 -> 3 0\n1 -> 2 2\n2 -> 0 2\n3 -> 1 2\n")
     out = subprocess.run(
@@ -423,6 +442,65 @@ def test_cli_does_not_load_sympy_on_the_corpus(child_env, examples_dir, tmp_path
     for ev in report["eigenvalues"]:
         assert 0 <= ev["modulus_hi"] - ev["modulus_lo"] < 1e-10
     assert result["sympy_after"]
+
+
+LAZY_CHILD = """
+import importlib, json, sys, types
+import substrum
+
+NAMES = json.loads(sys.argv[1])
+loaded = sorted({'substrum.estimator', 'substrum.decomposition'} & set(sys.modules))
+hidden = sorted(set(NAMES) & set(dir(substrum)))
+same = [name for name, module in NAMES.items()
+        if getattr(substrum, name) is getattr(importlib.import_module('substrum.' + module), name)]
+cached = [name for name in NAMES if name in vars(substrum)]
+from substrum import dimension_fit
+try:
+    substrum.no_such_name
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+import substrum.cli
+print(json.dumps({'loaded': loaded, 'hidden': hidden, 'same': same, 'cached': cached,
+                  'imported': dimension_fit is substrum.estimator.dimension_fit, 'missing': missing,
+                  'classify': not isinstance(substrum.classify, types.ModuleType)
+                              and substrum.classify.__module__ == 'substrum.classify'}))
+"""
+
+LAZY_NAMES = {
+    **dict.fromkeys(
+        ["CylindricalDecomposition", "ExtremePoints", "decompose_lambda", "eigenspace_F",
+         "extreme_points_Q", "letter_frequencies"],
+        "decomposition",
+    ),
+    **dict.fromkeys(
+        ["BirkhoffGrowth", "CorrelationTable", "DimensionEstimate", "ball_mass", "birkhoff_growth",
+         "correlations", "dimension_fit", "pair_correlations", "point_mass_at_zero",
+         "renormalization_check"],
+        "estimator",
+    ),
+}
+
+
+def test_package_loads_the_estimator_and_decomposition_on_first_use(child_env):
+    # `import substrum` compiles only the exact pipeline; each numerical name
+    # imports its module on first access and is then a plain package global
+    out = subprocess.run(
+        [sys.executable, "-c", LAZY_CHILD, json.dumps(LAZY_NAMES)],
+        capture_output=True,
+        text=True,
+        env=child_env,
+    )
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)
+    assert result["loaded"] == []
+    assert result["hidden"] == []
+    assert result["same"] == list(LAZY_NAMES)
+    assert result["cached"] == list(LAZY_NAMES)
+    assert result["imported"]
+    assert result["missing"] == "module 'substrum' has no attribute 'no_such_name'"
+    # the submodule substrum.classify shares the function's name
+    assert result["classify"]
 
 
 def test_stdout_is_pure_json(run_cli, examples_dir):
