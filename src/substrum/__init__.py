@@ -72,32 +72,22 @@ __version__ = "0.1.0"
 
 # public name -> the submodule that defines it, imported on first access
 _LAZY = {
-    **dict.fromkeys(
-        (
-            "CylindricalDecomposition",
-            "ExtremePoints",
-            "decompose_lambda",
-            "eigenspace_F",
-            "extreme_points_Q",
-            "letter_frequencies",
-        ),
-        "decomposition",
-    ),
-    **dict.fromkeys(
-        (
-            "BirkhoffGrowth",
-            "CorrelationTable",
-            "DimensionEstimate",
-            "ball_mass",
-            "birkhoff_growth",
-            "correlations",
-            "dimension_fit",
-            "pair_correlations",
-            "point_mass_at_zero",
-            "renormalization_check",
-        ),
-        "estimator",
-    ),
+    "CylindricalDecomposition": "decomposition",
+    "ExtremePoints": "decomposition",
+    "decompose_lambda": "decomposition",
+    "eigenspace_F": "decomposition",
+    "extreme_points_Q": "decomposition",
+    "letter_frequencies": "decomposition",
+    "BirkhoffGrowth": "estimator",
+    "CorrelationTable": "estimator",
+    "DimensionEstimate": "estimator",
+    "ball_mass": "estimator",
+    "birkhoff_growth": "estimator",
+    "correlations": "estimator",
+    "dimension_fit": "estimator",
+    "pair_correlations": "estimator",
+    "point_mass_at_zero": "estimator",
+    "renormalization_check": "estimator",
 }
 
 
