@@ -445,14 +445,14 @@ def test_cli_does_not_load_sympy_on_the_corpus(child_env, examples_dir, tmp_path
 
 
 LAZY_CHILD = """
-import importlib, json, sys, types
+import json, sys
 import substrum
 
 NAMES = json.loads(sys.argv[1])
 loaded = sorted({'substrum.estimator', 'substrum.decomposition'} & set(sys.modules))
 hidden = sorted(set(NAMES) & set(dir(substrum)))
 same = [name for name, module in NAMES.items()
-        if getattr(substrum, name) is getattr(importlib.import_module('substrum.' + module), name)]
+        if getattr(substrum, name) is getattr(sys.modules['substrum.' + module], name)]
 cached = [name for name in NAMES if name in vars(substrum)]
 from substrum import dimension_fit
 try:
@@ -463,8 +463,7 @@ except AttributeError as exc:
 import substrum.cli
 print(json.dumps({'loaded': loaded, 'hidden': hidden, 'same': same, 'cached': cached,
                   'imported': dimension_fit is substrum.estimator.dimension_fit, 'missing': missing,
-                  'classify': not isinstance(substrum.classify, types.ModuleType)
-                              and substrum.classify.__module__ == 'substrum.classify'}))
+                  'classify': substrum.classify is sys.modules['substrum.classify'].classify}))
 """
 
 LAZY_NAMES = {
