@@ -31,6 +31,8 @@ from .core import Substitution, constant_length, is_aperiodic_pansiot, is_primit
 from .eigen import _has_modulus_sqrt_q, _second_eigenvalue_below_sqrt_q, char_poly
 from .reduction import _compute_height, _pure_base
 
+__all__ = ["SpectralVerdict", "classify"]
+
 PURELY_DISCRETE = "PurelyDiscrete"
 SINGULAR = "Singular"
 INCONCLUSIVE = "Inconclusive"

@@ -237,7 +237,7 @@ def _add_estimator_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prefix", type=int, default=None, help="fixed-point prefix length L")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="substrum",
         description="Spectral classification of constant-length substitutions.",
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -219,29 +219,19 @@ def dekking_pure_discrete(z: Substitution) -> bool:
 
 @dataclass(frozen=True)
 class BijectivityProfile:
-    # abelian is None when the substitution is not bijective (not meaningful)
     bijective: bool
-    abelian: Optional[bool]
 
 
 def bijectivity_profile(z: Substitution) -> BijectivityProfile:
-    """Is each position map a permutation, and do the permutations commute?
+    """Is each position map a permutation?
 
     Position i induces the map a -> zeta(a)_i; the substitution is bijective
-    when every position map is a permutation of the alphabet.  The group the
-    position maps generate is abelian iff the generators pairwise commute,
-    so pairwise commutation is what is checked and reported.
+    when every position map is a permutation of the alphabet.
     """
     q = constant_length(z)
     if q is None:
         raise ValueError("bijectivity requires constant length")
     m = z.size
-    maps = [tuple(z.images[a][i] for a in range(m)) for i in range(q)]
-    if any(len(set(f)) != m for f in maps):
-        return BijectivityProfile(bijective=False, abelian=None)
-    abelian = all(
-        tuple(f[g[a]] for a in range(m)) == tuple(g[f[a]] for a in range(m))
-        for fi, f in enumerate(maps)
-        for g in maps[fi + 1 :]
+    return BijectivityProfile(
+        bijective=all(len({z.images[a][i] for a in range(m)}) == m for i in range(q))
     )
-    return BijectivityProfile(bijective=True, abelian=abelian)

@@ -1,12 +1,13 @@
 """The q-eigenspace of the coincidence matrix and its convex geometry.
 
 The transpose coincidence matrix C^t has Perron eigenvalue q with
-multiplicity k (the number of ergodic pair classes), and every vector in
-the eigenspace F is constant on each ergodic class.  The values on the
-transitive pairs are *determined* by the class values — solving
-(C^t - qI)v = 0 exactly shows they are affine functions of the class chart,
-and not in general zero — so the chart F <-> (one value per class) is a
-bijection and everything here is computed in that chart.
+multiplicity k (the number of ergodic pair classes).  C^t / q is a Markov
+chain on letter pairs, and its q-eigenspace F is the chain's space of
+harmonic functions: every vector in F is constant on each ergodic class,
+and its value on a transitive pair is the average of the class values
+weighted by the probabilities that the chain started there is absorbed by
+each class.  So the chart F <-> (one value per class) is a bijection, and
+everything here is computed in that chart.
 
 Reading a vector v in F as the m x m matrix W(a,b) = v_(a,b) singles out
 the convex set Q = {v in F : W Hermitian PSD, unit diagonal}.  Q is compact
@@ -52,7 +53,6 @@ from .exactlin import (
     _rref,
     char_poly_coeffs,
     factor_integer_poly,
-    rational_inverse,
     rational_nullspace,
     rational_rank,
     rational_solve,
@@ -129,21 +129,28 @@ class ClassVector:
         )
 
 
-def _class_index_sets(z: Substitution, cls: ErgodicClassification) -> list[list[int]]:
-    pa = PairAlphabet(z.alphabet)
-    return [[pa.index(a, b) for (a, b) in c] for c in cls.classes]
-
-
 def eigenspace_F(
     z: Substitution, classification: Optional[ErgodicClassification] = None
 ) -> tuple[ClassVector, ...]:
-    """Chart basis of the q-eigenspace F of C^t: the i-th vector has value 1
-    on E_i and 0 on the other classes (transitive values determined).
+    """Chart basis of the q-eigenspace F of C^t: vector i is 1 on E_i, 0 on
+    the other classes, and on a transitive pair t the probability that the
+    pair chain started at t is absorbed by E_i.
 
-    Verifies exactly that the nullspace of (C^t - qI) has dimension k, that
-    every nullspace vector is constant on each ergodic class, and that the
-    chart map F -> C^k is a bijection; raises ValueError when the structure
-    is violated.
+    Why this is F.  The columns of C sum to q, so P = C^t / q is stochastic
+    and F = {v : v = P v} is its space of harmonic functions.  Each class is
+    closed and strongly connected (checked by `ergodic_classes`), so by
+    Perron-Frobenius a harmonic v is constant on it.  Every transitive pair
+    reaches a class, so P_TT has spectral radius < 1 and qI - C^t_TT is
+    invertible: the class values fix v on T.  Hence dim F = k and the chart
+    is a bijection (Kemeny and Snell, Finite Markov Chains, absorbing chains).
+
+    One row reduction of [qI - C^t_TT | c_1 .. c_k] gives all k vectors on
+    T, where c_i(t) counts the positions at which t emits a pair of E_i.  A
+    bijective substitution has no transitive pairs: its position maps permute
+    the pairs, so every pair emits and is emitted q times, a component that
+    no edge enters has no edge out, and peeling such components off shows
+    that every component is a class.  Each vector is checked exactly to lie
+    in F.
     """
     q = constant_length(z)
     if q is None:
@@ -151,49 +158,36 @@ def eigenspace_F(
     if classification is None:
         classification = ergodic_classes(z)
     k = classification.k
-    C = coincidence_matrix(z)
-    Ct = C.transpose()
-    n = Ct.dim
-    A = tuple(
-        tuple(Fraction(Ct.entries[r][c] - (q if r == c else 0)) for c in range(n))
-        for r in range(n)
-    )
-    basis = rational_nullspace(A)
-    if len(basis) != k:
-        raise ValueError(
-            f"nullspace of (C^t - qI) has dimension {len(basis)}, expected k = {k}"
-        )
-    class_idx = _class_index_sets(z, classification)
-    charts = []
-    for v in basis:
-        chart = []
-        for idx in class_idx:
-            vals = {v[i] for i in idx}
-            if len(vals) != 1:
-                raise ValueError("eigenspace vector not constant on an ergodic class")
-            chart.append(vals.pop())
-        charts.append(chart)
-    if rational_rank(charts) != k:
-        raise ValueError("class chart is not a bijection on the q-eigenspace")
-    Binv = rational_inverse(charts)
+    pa = PairAlphabet(z.alphabet)
+    label = {pa.index(a, b): i for i, cls in enumerate(classification.classes) for a, b in cls}
+    T = [pa.index(a, b) for a, b in classification.transitive]
+    Ct = coincidence_matrix(z).transpose()
+    # each pair's values in the k basis vectors: e_i on a pair of E_i
+    values = {p: tuple(Fraction(int(i == j)) for j in range(k)) for p, i in label.items()}
+    if T:
+        rows = []
+        for t in T:
+            row = Ct.entries[t]
+            emitted = [0] * k
+            for p, count in enumerate(row):
+                if p in label:
+                    emitted[label[p]] += count
+            rows.append([q * (t == s) - row[s] for s in T] + emitted)
+        R, pivots = _rref(rows)
+        if pivots[: len(T)] != list(range(len(T))):
+            raise RuntimeError("qI - C^t must be invertible on the transitive pairs")
+        values.update((t, tuple(row[len(T):])) for t, row in zip(T, R))
     out = []
     for i in range(k):
-        # want sum_j c_j * basis_j to have class values e_i: c solves B^T c = e_i,
-        # i.e. c is the i-th row of B^{-1}
-        coeffs = Binv[i]
-        pair_values = tuple(
-            sum(c * v[t] for c, v in zip(coeffs, basis)) for t in range(n)
-        )
-        cv = ClassVector(
-            class_values=tuple(Fraction(1) if j == i else Fraction(0) for j in range(k)),
-            pair_values=pair_values,
-            m=z.size,
-        )
-        for j, idx in enumerate(class_idx):
-            if any(pair_values[t] != cv.class_values[j] for t in idx):
-                raise RuntimeError(f"chart vector {i} is not {cv.class_values[j]} on class {j}")
+        pair_values = tuple(values[p][i] for p in range(len(pa)))
         _check_in_F(Ct, q, pair_values)
-        out.append(cv)
+        out.append(
+            ClassVector(
+                class_values=tuple(Fraction(int(i == j)) for j in range(k)),
+                pair_values=pair_values,
+                m=z.size,
+            )
+        )
     return tuple(out)
 
 

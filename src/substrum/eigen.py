@@ -83,6 +83,7 @@ __all__ = [
     "char_poly",
     "eigenvalues",
     "eigenvalue_classes",
+    "eigenvalue_multiset",
     "has_modulus_sqrt_q",
     "second_eigenvalue_below_sqrt_q",
     "j_pr_kappa",
@@ -111,7 +112,6 @@ class EigenvalueRecord:
     modulus_lo: Fraction
     modulus_hi: Fraction
     modulus_sq_exact: Optional[Fraction]
-    is_real: bool
     rational_value: Optional[Fraction] = None
 
 
@@ -140,8 +140,7 @@ def _roots_of_factor(factor: tuple[int, ...], bits: int) -> list[dict]:
     """Certified root data for a monic irreducible integer polynomial.
 
     Returns one dict per root with keys matching the EigenvalueRecord root
-    fields: value, modulus_lo, modulus_hi, modulus_sq_exact, is_real,
-    rational_value.
+    fields: value, modulus_lo, modulus_hi, modulus_sq_exact, rational_value.
     """
     deg = len(factor) - 1
     if deg == 1:
@@ -153,7 +152,6 @@ def _roots_of_factor(factor: tuple[int, ...], bits: int) -> list[dict]:
                 modulus_lo=abs(fr),
                 modulus_hi=abs(fr),
                 modulus_sq_exact=fr * fr,
-                is_real=True,
                 rational_value=fr,
             )
         ]
@@ -171,7 +169,6 @@ def _roots_of_factor(factor: tuple[int, ...], bits: int) -> list[dict]:
                 modulus_lo=mod_lo,
                 modulus_hi=mod_hi,
                 modulus_sq_exact=Fraction(c),
-                is_real=False,
                 rational_value=None,
             )
             return [
@@ -192,7 +189,6 @@ def _roots_of_factor(factor: tuple[int, ...], bits: int) -> list[dict]:
                     modulus_hi=mhi,
                     # |root|^2 is rational only for the x^2 - c shape
                     modulus_sq_exact=abs(Fraction(c)) if b == 0 else None,
-                    is_real=True,
                     rational_value=None,
                 )
             )
@@ -219,7 +215,6 @@ def _roots_of_factor(factor: tuple[int, ...], bits: int) -> list[dict]:
                 modulus_lo=mlo,
                 modulus_hi=mhi,
                 modulus_sq_exact=None,
-                is_real=True,
                 rational_value=None,
             )
         )
@@ -233,7 +228,6 @@ def _roots_of_factor(factor: tuple[int, ...], bits: int) -> list[dict]:
                 modulus_lo=mlo,
                 modulus_hi=mhi,
                 modulus_sq_exact=None,
-                is_real=False,
                 rational_value=None,
             )
         )

@@ -53,6 +53,24 @@ from .eigen import j_pr_kappa
 if TYPE_CHECKING:
     import numpy as np
 
+__all__ = [
+    "DEFAULT_PREFIX",
+    "DEFAULT_LAGS",
+    "PairCorrelations",
+    "CorrelationTable",
+    "DimensionEstimate",
+    "BirkhoffGrowth",
+    "pair_correlations",
+    "correlations",
+    "renormalization_check",
+    "point_mass_at_zero",
+    "ball_mass",
+    "dimension_fit",
+    "birkhoff_growth",
+    "expected_zero_coefficient",
+    "mean_under_frequencies",
+]
+
 DEFAULT_PREFIX = 10**7
 DEFAULT_LAGS = 4096
 
@@ -325,6 +343,9 @@ def ball_mass(table: CorrelationTable, r: float) -> float:
     """
     import numpy as np
 
+    # a radius that underflowed to 0.0, or whose inverse overflows, has no window
+    if not 0.0 < r < math.inf or 1.0 / r == math.inf:
+        raise ValueError(f"radius must be a positive finite float with a finite inverse, got {r!r}")
     N = max(1, int(round(1.0 / r)))
     if N > table.K:
         raise ValueError(f"radius {r} needs {N} lags but the table holds K={table.K}")
@@ -350,7 +371,6 @@ class DimensionEstimate:
     j: int
     theta_modulus: float
     kappa: int
-    kappa_corrected: bool
 
 
 def _fit_function(f) -> list[Fraction]:
@@ -376,7 +396,8 @@ def dimension_fit(
     """Estimate the local dimension of sigma_f at 0 and compare to 2 - 2*alpha.
 
     Fits the slope of log ball_mass(q^{-n}) against log q^{-n} over the given
-    exponents n (default: every n >= 1 with q^n <= K).  When the elimination
+    exponents n (default: every n >= 1 with q^n <= K; an n with q^n > K
+    raises ValueError before any counting).  When the elimination
     exponent kappa of f exceeds 1, masses are divided by |log r|^(kappa-1)
     before fitting.  The prediction d = 2 - 2 log_q |theta_j| applies when
     |theta_j| > 1; otherwise the mass decays faster than r^(2-eps) for every
@@ -389,14 +410,18 @@ def dimension_fit(
         raise ValueError("dimension estimation requires a constant-length substitution")
     if q < 2:
         raise ValueError(f"dimension estimation needs radii q^-n < 1, so q >= 2 (got q = {q})")
+    # the deepest scale the table holds: the largest n with q^n <= K, in integers
+    top = 0
+    while q ** (top + 1) <= K:
+        top += 1
     if scales is None:
-        top = 0
-        while q ** (top + 1) <= K:
-            top += 1
         scales = range(1, top + 1)
     scales = tuple(int(n) for n in scales)
     if any(n < 1 for n in scales):
         raise ValueError("scales are exponents n >= 1 of r = q^-n")
+    n = max(scales, default=0)
+    if n > top:
+        raise ValueError(f"scale n = {n} needs q^n = {q}^{n} lags, more than K = {K}")
 
     rational_f = _fit_function(f)
     table = correlations(z, rational_f, K, L)
@@ -443,7 +468,6 @@ def dimension_fit(
         j=elim.j,
         theta_modulus=theta_mod,
         kappa=kappa,
-        kappa_corrected=kappa > 1,
     )
 
 

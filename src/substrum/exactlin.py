@@ -20,8 +20,7 @@ Python ints and fractions.Fraction:
   degree 4 it goes through Zassenhaus's algorithm (Berlekamp modulo the
   best of three small primes, Hensel lifting above twice the Mignotte
   bound, recombination by exact trial division);
-* one rational row reduction behind nullspaces, ranks, solves and
-  inverses;
+* one rational row reduction behind nullspaces, ranks and solves;
 * rational interval enclosures of square roots.
 """
 
@@ -44,7 +43,6 @@ __all__ = [
     "rational_nullspace",
     "rational_rank",
     "rational_solve",
-    "rational_inverse",
     "sqrt_interval",
 ]
 
@@ -607,15 +605,6 @@ def rational_solve(A, b) -> tuple[Fraction, ...]:
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(row[n] for row in R)
-
-
-def rational_inverse(A) -> tuple[tuple[Fraction, ...], ...]:
-    """Inverse of a nonsingular square rational matrix."""
-    n = len(A)
-    R, pivots = _rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)])
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in R)
 
 
 def sqrt_interval(value: Fraction, bits: int) -> tuple[Fraction, Fraction]:

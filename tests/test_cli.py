@@ -265,6 +265,23 @@ def test_estimate_dim_length_one_exits_4(run_cli, tmp_path):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("scales", ["13", "1100"])
+def test_estimate_dim_scale_past_the_table_exits_4(run_cli, examples_dir, tmp_path, scales):
+    # 2^13 lags are more than the default K = 4096; the radius 2^-1100 underflows to 0.0
+    out = run_cli(
+        "estimate-dim",
+        str(examples_dir / "thue_morse.sub"),
+        "--function", "1 -1",
+        "--scales", scales,
+        "--out", str(tmp_path / "dim.csv"),
+    )
+    assert out.returncode == 4
+    assert out.stdout == ""
+    assert out.stderr.startswith(f"substrum: estimate-dim: scale n = {scales} needs q^n = 2^{scales} lags")
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "dim.csv").exists()
+
+
 def test_estimate_dim_prefix_above_2_53_exits_4(run_cli, examples_dir, tmp_path):
     # lag counts are exact in float64 only up to L = 2^53
     out = run_cli(

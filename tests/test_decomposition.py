@@ -8,9 +8,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from substrum.coincidence import ergodic_classes
-from substrum.core import is_aperiodic_pansiot, is_primitive, parse_substitution
+from substrum.coincidence import coincidence_matrix, ergodic_classes
+from substrum.core import constant_length, is_aperiodic_pansiot, is_primitive, parse_substitution
 from substrum.corpus import load
 from substrum.decomposition import (
     _extreme_points_exact,
@@ -20,7 +23,11 @@ from substrum.decomposition import (
     extreme_points_Q,
     letter_frequencies,
 )
+from substrum.exactlin import _rref
 from substrum.reduction import compute_height
+
+# k = 2, and each of the 8 transitive pairs is absorbed by either class with probability 1/2
+HALF_ABSORBED = "0 -> 1 3\n1 -> 2 3\n2 -> 1 0\n3 -> 2 0"
 
 
 def test_letter_frequencies_exact():
@@ -56,6 +63,55 @@ def test_eigenspace_F_chart_is_bijective():
         assert v.class_values == tuple(
             Fraction(1) if j == i else Fraction(0) for j in range(len(basis))
         )
+
+
+@st.composite
+def primitive_rules(draw):
+    m, q = draw(st.integers(2, 5)), draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        columns = [draw(st.permutations(range(m))) for _ in range(q)]
+        images = [[col[a] for col in columns] for a in range(m)]
+    else:
+        images = draw(st.lists(st.lists(st.integers(0, m - 1), min_size=q, max_size=q), min_size=m, max_size=m))
+    return "\n".join(f"{a} -> " + " ".join(map(str, img)) for a, img in enumerate(images))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(primitive_rules())
+@example(HALF_ABSORBED)
+@example("0 -> 3 1\n1 -> 1 2\n2 -> 2 3\n3 -> 0 1")  # k = 3, 2 transitive pairs
+def test_eigenspace_F_spans_the_nullspace(rules):
+    # dim F = k is checked here against sympy, independently of the
+    # absorbing-chain argument that lets eigenspace_F skip the nullspace
+    z = parse_substitution(rules)
+    assume(is_primitive(z).primitive)
+    cls = ergodic_classes(z)
+    basis = eigenspace_F(z, cls)
+    Ct = sympy.Matrix(coincidence_matrix(z).transpose().entries)
+    null = (Ct - constant_length(z) * sympy.eye(Ct.rows)).nullspace()
+    ours = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in v.pair_values] for v in basis])
+    assert ours.rank() == len(null) == len(basis) == cls.k
+    assert ours.col_join(sympy.Matrix.hstack(*null).T).rank() == len(null)
+    for i, v in enumerate(basis):
+        e_i = tuple(int(i == j) for j in range(cls.k))
+        assert v.class_values == e_i
+        assert all(v.pair_values[a * z.size + b] == e_i[j] for j, c in enumerate(cls.classes) for a, b in c)
+
+
+def test_eigenspace_F_row_reduces_only_the_transitive_pairs(count_calls):
+    # a bijective substitution has no transitive pairs, so nothing to solve
+    for name in ("thue_morse", "bijective_nonabelian"):
+        z = load(name)
+        cls = ergodic_classes(z)
+        assert cls.transitive == ()
+        assert count_calls((_rref,), lambda: eigenspace_F(z, cls)) == {"_rref": 0}
+    z = parse_substitution(HALF_ABSORBED)
+    cls = ergodic_classes(z)
+    basis = []
+    assert count_calls((_rref,), lambda: basis.extend(eigenspace_F(z, cls))) == {"_rref": 1}
+    assert cls.k == 2 and len(cls.transitive) == 8
+    for v in basis:
+        assert {v.pair_values[a * z.size + b] for a, b in cls.transitive} == {Fraction(1, 2)}
 
 
 def test_extreme_points_bijective_nonabelian_exact():

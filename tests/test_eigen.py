@@ -251,7 +251,6 @@ def record(lo, hi, value=None, exact=None):
         modulus_lo=lo,
         modulus_hi=hi,
         modulus_sq_exact=exact,
-        is_real=False,
         rational_value=None,
     )
 

@@ -296,6 +296,10 @@ def test_ball_mass_edges():
     assert ball_mass(table, 1.0) == pytest.approx(table.sigma[0].real)
     with pytest.raises(ValueError, match="lags"):
         ball_mass(table, 1 / 128)
+    # 2^-1100 underflows to 0.0, and 1 / 5e-324 overflows to inf
+    for r in (2.0**-1100, 5e-324, -0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="radius must be a positive finite float"):
+            ball_mass(table, r)
 
 
 def test_point_mass_nonzero_mean():
@@ -340,6 +344,16 @@ def test_dimension_fit_signed_indicator():
 def test_dimension_fit_checks_f_before_counting(f, count_calls):
     calls = count_calls((_lag_counts,), lambda: pytest.raises(ValueError, dimension_fit, EX61, f, K=729, L=10**5))
     assert calls == {"_lag_counts": 0}
+
+
+@pytest.mark.parametrize("scales", [(7,), (1, 2, 1100)])
+def test_dimension_fit_checks_scales_before_counting(scales, count_calls):
+    # 2^7 lags are more than K = 64, and the radius 2^-1100 underflows to 0.0
+    def fit():
+        with pytest.raises(ValueError, match=rf"scale n = {max(scales)} needs q\^n = 2\^{max(scales)} lags, more than K = 64"):
+            dimension_fit(TM, (1, -1), scales=scales, K=64, L=10**4)
+
+    assert count_calls((_lag_counts,), fit) == {"_lag_counts": 0}
 
 
 @pytest.mark.parametrize("f", [(10**200, -(10**200), 0, 0), (10**400, -(10**400), 0, 0), (float("nan"), 1, 0, 0)])

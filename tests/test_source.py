@@ -77,6 +77,24 @@ def test_every_name_in_all_exists():
     assert missing == []
 
 
+
+def test_every_public_name_is_in_all():
+    # a public def or class missing from __all__ hides part of the API from
+    # `from module import *` and from readers; the package's lazily loaded
+    # names must be public in the module that defines them
+    exported, unlisted = {}, []
+    for path in sorted(Path(substrum.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        public = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                public.append(node.name)
+            elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported[path.stem] = ast.literal_eval(node.value)
+        unlisted += [f"{path.name}:{name}" for name in public if name not in exported.get(path.stem, ())]
+    unlisted += [f"{module}.py:{name}" for name, module in substrum._LAZY.items() if name not in exported.get(module, ())]
+    assert unlisted == []
+
 def test_every_exception_class_is_raised():
     # an exception type that no raise statement reaches is dead API: a
     # caller's handler for it can never run.  A raise reaches a class by
