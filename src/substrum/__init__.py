@@ -41,7 +41,6 @@ from .eigen import (
     JPRKappa,
     SqrtQResult,
     char_poly,
-    eigenvalue_classes,
     eigenvalues,
     has_modulus_sqrt_q,
     j_pr_kappa,
@@ -55,7 +54,6 @@ from .reduction import (
     spectrum_difference_is_trivial,
 )
 from .coincidence import (
-    BijectivityProfile,
     ErgodicClassification,
     bijectivity_profile,
     bisubstitution,

@@ -28,7 +28,7 @@ from typing import Optional
 
 from .coincidence import _ergodic_classes, bijectivity_profile
 from .core import Substitution, constant_length, is_aperiodic_pansiot, is_primitive, substitution_matrix
-from .eigen import _has_modulus_sqrt_q, _second_eigenvalue_below_sqrt_q, char_poly
+from .eigen import char_poly, has_modulus_sqrt_q, second_eigenvalue_below_sqrt_q
 from .reduction import _compute_height, _pure_base
 
 __all__ = ["SpectralVerdict", "classify"]
@@ -120,7 +120,6 @@ def classify(z: Substitution) -> SpectralVerdict:
     height = _compute_height(z, q)
     base = _pure_base(z, height.h)
     classification = _ergodic_classes(base.eta)
-    profile = bijectivity_profile(z)
     evidence["height"] = height
     evidence["h"] = base.height
     evidence["pure_base_size"] = base.eta.size
@@ -129,7 +128,7 @@ def classify(z: Substitution) -> SpectralVerdict:
     evidence["k"] = classification.k
     evidence["class_sizes"] = tuple(len(c) for c in classification.classes)
     evidence["transitive_size"] = len(classification.transitive)
-    evidence["bijective"] = profile.bijective
+    evidence["bijective"] = bijectivity_profile(z)
     group = (q, base.height)
 
     # Dekking's criterion on the pure base, which has height 1 by construction
@@ -147,7 +146,7 @@ def classify(z: Substitution) -> SpectralVerdict:
 
     # one spectral record serves both tests and analysis_report's eigenvalues
     evidence["char_poly"] = p = char_poly(substitution_matrix(z))
-    sqrt_q = _has_modulus_sqrt_q(p, q)
+    sqrt_q = has_modulus_sqrt_q(p, q)
     evidence["sqrt_q"] = sqrt_q
 
     if sqrt_q.present:
@@ -164,7 +163,7 @@ def classify(z: Substitution) -> SpectralVerdict:
 
     reasons = ["NoSqrtQEigenvalue"]
     detail = "no eigenvalue of the substitution matrix has modulus sqrt(q), hence the spectrum is singular"
-    if _second_eigenvalue_below_sqrt_q(p, q):
+    if second_eigenvalue_below_sqrt_q(p, q):
         reasons.append("SecondEigenvalueSmall")
         detail += "; moreover the second-largest eigenvalue modulus is certified below sqrt(q)"
     return SpectralVerdict(

@@ -24,7 +24,7 @@ from .core import (
     render_substitution,
     substitution_matrix,
 )
-from .eigen import _has_modulus_sqrt_q, char_poly
+from .eigen import char_poly, has_modulus_sqrt_q
 from .reduction import pure_base
 from .report import (
     SCHEMA_VERSION,
@@ -145,7 +145,7 @@ def _cmd_spectrum(args) -> int:
     z = _load(args.path)
     p = char_poly(substitution_matrix(z))
     q = constant_length(z)
-    sqrt_q = None if q is None else _has_modulus_sqrt_q(p, q)
+    sqrt_q = None if q is None else has_modulus_sqrt_q(p, q)
     _emit(spectrum_report(z, p, sqrt_q, path=args.path), args)
     return EXIT_OK
 

@@ -37,7 +37,6 @@ from .reduction import compute_height
 __all__ = [
     "PairAlphabet",
     "ErgodicClassification",
-    "BijectivityProfile",
     "bisubstitution",
     "coincidence_matrix",
     "ergodic_classes",
@@ -217,12 +216,7 @@ def dekking_pure_discrete(z: Substitution) -> bool:
     return _ergodic_classes(z).k == 1
 
 
-@dataclass(frozen=True)
-class BijectivityProfile:
-    bijective: bool
-
-
-def bijectivity_profile(z: Substitution) -> BijectivityProfile:
+def bijectivity_profile(z: Substitution) -> bool:
     """Is each position map a permutation?
 
     Position i induces the map a -> zeta(a)_i; the substitution is bijective
@@ -232,6 +226,4 @@ def bijectivity_profile(z: Substitution) -> BijectivityProfile:
     if q is None:
         raise ValueError("bijectivity requires constant length")
     m = z.size
-    return BijectivityProfile(
-        bijective=all(len({z.images[a][i] for a in range(m)}) == m for i in range(q))
-    )
+    return all(len({z.images[a][i] for a in range(m)}) == m for i in range(q))

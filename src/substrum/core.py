@@ -137,9 +137,6 @@ class Substitution:
         """Alphabet size m."""
         return len(self.alphabet)
 
-    def image(self, a: int) -> tuple[int, ...]:
-        return self.images[a]
-
     def apply(self, word: Sequence[int]) -> tuple[int, ...]:
         """Apply the substitution to a word (concatenate letter images)."""
         out: list[int] = []

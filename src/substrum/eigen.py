@@ -32,10 +32,12 @@ so this module works exactly:
   enclosures, refined until each clears sqrt(q), which it must, since no
   root of such a factor lies on the circle.
 
-Every spectral query here reads one `CharPoly`, the record of a matrix's
-spectral data: its factorization, root data and modulus classes are each
-computed on first use, once per record, so a caller that keeps the record
-(`classify` stores it in its evidence) shares them with later consumers.
+Every public query takes a `CharPoly`, the record of a matrix's spectral
+data, built from the matrix by `char_poly`: its factorization, root data
+and modulus classes are each computed on first use, once per record, so a
+caller that keeps the record (`classify` stores it in its evidence) shares
+them with later consumers.  Only `char_poly` and `j_pr_kappa`, which also
+applies M^t to a vector, take the matrix itself.
 The exact algebra comes from `exactlin`, in plain integers; sympy is
 imported only to isolate the roots of factors of degree >= 3, on first use.
 
@@ -82,7 +84,6 @@ __all__ = [
     "JPRKappa",
     "char_poly",
     "eigenvalues",
-    "eigenvalue_classes",
     "eigenvalue_multiset",
     "has_modulus_sqrt_q",
     "second_eigenvalue_below_sqrt_q",
@@ -112,7 +113,6 @@ class EigenvalueRecord:
     modulus_lo: Fraction
     modulus_hi: Fraction
     modulus_sq_exact: Optional[Fraction]
-    rational_value: Optional[Fraction] = None
 
 
 def _abs_interval(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
@@ -140,7 +140,7 @@ def _roots_of_factor(factor: tuple[int, ...], bits: int) -> list[dict]:
     """Certified root data for a monic irreducible integer polynomial.
 
     Returns one dict per root with keys matching the EigenvalueRecord root
-    fields: value, modulus_lo, modulus_hi, modulus_sq_exact, rational_value.
+    fields: value, modulus_lo, modulus_hi, modulus_sq_exact.
     """
     deg = len(factor) - 1
     if deg == 1:
@@ -152,7 +152,6 @@ def _roots_of_factor(factor: tuple[int, ...], bits: int) -> list[dict]:
                 modulus_lo=abs(fr),
                 modulus_hi=abs(fr),
                 modulus_sq_exact=fr * fr,
-                rational_value=fr,
             )
         ]
     if deg == 2:
@@ -169,7 +168,6 @@ def _roots_of_factor(factor: tuple[int, ...], bits: int) -> list[dict]:
                 modulus_lo=mod_lo,
                 modulus_hi=mod_hi,
                 modulus_sq_exact=Fraction(c),
-                rational_value=None,
             )
             return [
                 dict(value=complex(re, im), **base),
@@ -189,7 +187,6 @@ def _roots_of_factor(factor: tuple[int, ...], bits: int) -> list[dict]:
                     modulus_hi=mhi,
                     # |root|^2 is rational only for the x^2 - c shape
                     modulus_sq_exact=abs(Fraction(c)) if b == 0 else None,
-                    rational_value=None,
                 )
             )
         return out
@@ -215,7 +212,6 @@ def _roots_of_factor(factor: tuple[int, ...], bits: int) -> list[dict]:
                 modulus_lo=mlo,
                 modulus_hi=mhi,
                 modulus_sq_exact=None,
-                rational_value=None,
             )
         )
     for (c1, c2), _mult in cplx_iv:
@@ -228,7 +224,6 @@ def _roots_of_factor(factor: tuple[int, ...], bits: int) -> list[dict]:
                 modulus_lo=mlo,
                 modulus_hi=mhi,
                 modulus_sq_exact=None,
-                rational_value=None,
             )
         )
     if len(out) != deg:
@@ -306,19 +301,14 @@ def char_poly(M: IntMatrix) -> CharPoly:
     return CharPoly(char_poly_coeffs(M))
 
 
-def eigenvalue_classes(M: IntMatrix) -> tuple[tuple[EigenvalueRecord, ...], ...]:
-    """Eigenvalues of M grouped into descending-modulus classes (`CharPoly.classes`)."""
-    return char_poly(M).classes
-
-
-def eigenvalues(M: IntMatrix) -> tuple[EigenvalueRecord, ...]:
-    """All eigenvalues of M, sorted by certified descending modulus.
+def eigenvalues(p: CharPoly) -> tuple[EigenvalueRecord, ...]:
+    """All eigenvalues of the record p, sorted by certified descending modulus.
 
     Ties inside a modulus class are ordered by descending real part, then
     descending imaginary part.  Multiplicities are carried on the records;
     see `eigenvalue_multiset` for the flattened list.
     """
-    return tuple(r for cls in char_poly(M).classes for r in cls)
+    return tuple(r for cls in p.classes for r in cls)
 
 
 def eigenvalue_multiset(records: Sequence[EigenvalueRecord]) -> list[EigenvalueRecord]:
@@ -454,24 +444,16 @@ def _circle_roots(fac: tuple[int, ...], q: int) -> tuple[complex, ...]:
     return tuple(out)
 
 
-def has_modulus_sqrt_q(M: IntMatrix, q: int) -> SqrtQResult:
-    """Decide exactly whether M has an eigenvalue of absolute value sqrt(q).
+def has_modulus_sqrt_q(p: CharPoly, q: int) -> SqrtQResult:
+    """Decide exactly whether the record p has a root of absolute value sqrt(q).
 
-    Exact prefilter: an eigenvalue lambda with |lambda|^2 = q satisfies
+    Exact prefilter: a root lambda with |lambda|^2 = q satisfies
     conj(lambda) = q/lambda, and conj(lambda) is a root of the (real)
     characteristic polynomial p, so lambda is a common root of p(x) and the
     integer polynomial x^n p(q/x).  A constant gcd therefore excludes the
     modulus with no numerics.  Otherwise each irreducible factor of the gcd
-    is examined exactly (see `_circle_roots`).
-    """
-    return _has_modulus_sqrt_q(char_poly(M), q)
-
-
-def _has_modulus_sqrt_q(p: CharPoly, q: int) -> SqrtQResult:
-    """has_modulus_sqrt_q from the record of char(M).
-
-    The irreducible factors of the gcd are the factors of char(M) that
-    divide it, in the same order as in `p.factors`.
+    is examined exactly (see `_circle_roots`): those are the factors of p
+    that divide it, taken in the order of `p.factors`.
     """
     g = poly_gcd(p.coeffs, _reversal_poly(p.coeffs, q))
     if len(g) == 1:
@@ -484,18 +466,12 @@ def _has_modulus_sqrt_q(p: CharPoly, q: int) -> SqrtQResult:
     return SqrtQResult(False, (), "all candidate roots of the gcd prefilter excluded exactly")
 
 
-def second_eigenvalue_below_sqrt_q(M: IntMatrix, q: int) -> bool:
-    """True iff |theta_2| < sqrt(q), decided exactly.
+def second_eigenvalue_below_sqrt_q(p: CharPoly, q: int) -> bool:
+    """True iff |theta_2| < sqrt(q) for the record p, decided exactly.
 
     theta_2 is the second entry of the descending-modulus eigenvalue multiset
     (multiplicities counted), so |theta_2| < sqrt(q) iff at most one root,
     counted with multiplicity, has modulus at least sqrt(q).
-    """
-    return _second_eigenvalue_below_sqrt_q(char_poly(M), q)
-
-
-def _second_eigenvalue_below_sqrt_q(p: CharPoly, q: int) -> bool:
-    """second_eigenvalue_below_sqrt_q from the record of char(M).
 
     A q-reciprocal factor of degree 2d with 2c roots on the circle has
     exactly d + c roots of modulus >= sqrt(q): its other roots pair up as

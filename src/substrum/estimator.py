@@ -81,6 +81,8 @@ _EXACT_FLOAT_MAX = 2**53
 # a second thread, which cost 3 MB of resident memory in each fresh process
 # and made the counts no faster on 2 cores.
 _BLAS_CALL_MACS = 2**18
+# birkhoff_growth fits its partial sums at the lengths N = q^n for these n
+_GROWTH_EXPONENTS = range(4, 13)
 
 
 @dataclass(frozen=True)
@@ -419,6 +421,8 @@ def dimension_fit(
     scales = tuple(int(n) for n in scales)
     if any(n < 1 for n in scales):
         raise ValueError("scales are exponents n >= 1 of r = q^-n")
+    if len(set(scales)) < len(scales):
+        raise ValueError(f"scales must be distinct, got {list(scales)}")
     n = max(scales, default=0)
     if n > top:
         raise ValueError(f"scale n = {n} needs q^n = {q}^{n} lags, more than K = {K}")
@@ -481,10 +485,8 @@ class BirkhoffGrowth:
     max_sums: tuple[float, ...]
 
 
-def birkhoff_growth(
-    z: Substitution, f: Sequence, min_exp: int = 4, max_exp: int = 12
-) -> BirkhoffGrowth:
-    """Fit log max_{M<=N} |S_M| against log N at N = q^min_exp .. q^max_exp.
+def birkhoff_growth(z: Substitution, f: Sequence) -> BirkhoffGrowth:
+    """Fit log max_{M<=N} |S_M| against log N at N = q^4 .. q^12.
 
     S_M = sum_{n<M} f(u_n) along the fixed point.  The expected slope for
     mean-zero f is alpha = log_q |theta_j|; bounded sums fit slope ~ 0,
@@ -495,15 +497,13 @@ def birkhoff_growth(
     q = constant_length(z)
     if q is None:
         raise ValueError("growth fit requires a constant-length substitution")
-    if max_exp - min_exp < 2:
-        raise ValueError("need at least three lengths to fit")
     vec = _coefficient_vector(z, f)
     if not np.any(vec):
         raise ValueError("f must be nonzero")
     letter, power = seed_letter(z)
-    u = fixed_point_prefix(z, letter, power, q**max_exp)
+    u = fixed_point_prefix(z, letter, power, q**_GROWTH_EXPONENTS[-1])
     running = np.maximum.accumulate(np.abs(np.cumsum(vec[u])))
-    lengths = [q**n for n in range(min_exp, max_exp + 1)]
+    lengths = [q**n for n in _GROWTH_EXPONENTS]
     maxima = [float(running[N - 1]) for N in lengths]
     if any(v == 0.0 for v in maxima):
         raise ValueError("partial sums vanish identically on a q-adic prefix")

@@ -30,15 +30,16 @@ eta maps each to the q^d blocks of zeta^d(B), so the blocking map phi
 intertwines eta with zeta^d, phi(eta(i)) = zeta^d(phi(i)); d = 1 when
 p = 1, and Dekking coincidence is invariant under powers.
 
-`spectrum_difference_is_trivial` compares two characteristic polynomials
-away from 0 and the roots of unity, where the substitution matrices of
-zeta^d and eta share their spectrum.
+`spectrum_difference_is_trivial` compares the spectral records of two
+matrices away from 0 and the roots of unity, where the substitution
+matrices of zeta^d and eta share their spectrum.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,7 +51,8 @@ from .core import (
     power_substitution,
     seed_letter,
 )
-from .exactlin import poly_divmod, poly_gcd
+from .eigen import CharPoly, _power
+from .exactlin import poly_divmod, poly_mul
 
 __all__ = [
     "HeightInfo",
@@ -176,9 +178,6 @@ class PureBase:
     phi: tuple[tuple[str, tuple[str, ...]], ...]
     height: int
 
-    def phi_map(self) -> dict[str, tuple[str, ...]]:
-        return dict(self.phi)
-
 
 def _block_token(tokens: Sequence[str]) -> str:
     """An h-block's name from its letter tokens (see _derived_alphabet when two names coincide)."""
@@ -281,88 +280,53 @@ def _pure_base(z: Substitution, h: int) -> PureBase:
 
 @dataclass(frozen=True)
 class SpectrumComparison:
-    """leftover = the two inputs with x-powers, cyclotomic factors, and the
-    common remaining factor removed; trivial iff both leftovers are 1."""
+    """Two spectra compared away from 0 and the roots of unity.
+
+    Each side's leftover is the product of its irreducible factors, counted
+    with multiplicity, that are neither x nor cyclotomic and that the other
+    side does not have with at least that multiplicity (a factor is
+    cyclotomic iff x has small finite order modulo it, see
+    `spectrum_difference_is_trivial`); trivial iff both leftovers are 1.
+    """
 
     trivial: bool
     leftover: tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _coeffs(p) -> list[int]:
-    if hasattr(p, "coeffs"):
-        return [int(c) for c in p.coeffs]
-    return [int(c) for c in p]
+def _is_cyclotomic(fac: tuple[int, ...]) -> bool:
+    """Whether x has order at most 2 deg^2 modulo the monic irreducible fac."""
+    power = (1,)
+    for _ in range(2 * (len(fac) - 1) ** 2):
+        power = poly_divmod(power + (0,), fac)[1]
+        if power == (1,):
+            return True
+    return False
 
 
-def _euler_phi(d: int) -> int:
-    out, rest, f = d, d, 2
-    while f * f <= rest:
-        if rest % f == 0:
-            while rest % f == 0:
-                rest //= f
-            out -= out // f
-        f += 1
-    if rest > 1:
-        out -= out // rest
-    return out
-
-
-def _cyclotomic(d: int, known: dict) -> tuple[int, ...]:
-    """Phi_d: x^d - 1 divided exactly by Phi_e for every divisor e < d of d."""
-    if d not in known:
-        phi = (1,) + (0,) * (d - 1) + (-1,)
-        for e in range(1, d):
-            if d % e == 0:
-                phi, rem = poly_divmod(phi, _cyclotomic(e, known))
-                if rem:
-                    raise RuntimeError(f"Phi_{e} must divide x^{d} - 1")
-        known[d] = phi
-    return known[d]
-
-
-def _strip_trivial_roots(p: tuple[int, ...], cyclotomic_bound: int) -> tuple[int, ...]:
-    # roots at 0: drop trailing zero coefficients
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    # roots of unity: divide out cyclotomic factors while they divide exactly;
-    # phi(d) >= sqrt(d/2), so any cyclotomic factor of a degree-n polynomial
-    # has d <= 2 n^2 and the bound exhausts all candidates.  Phi_d, of degree
-    # phi(d), is built only when it is no longer than p.
-    known: dict[int, tuple[int, ...]] = {}
-    for d in range(1, cyclotomic_bound + 1):
-        if _euler_phi(d) > len(p) - 1:
-            continue
-        phi = _cyclotomic(d, known)
-        while len(p) >= len(phi):
-            quo, rem = poly_divmod(p, phi)
-            if rem:
-                break
-            p = quo
-    return p
-
-
-def spectrum_difference_is_trivial(p1, p2) -> SpectrumComparison:
-    """Do two monic integer characteristic polynomials share their spectrum
-    away from 0 and the roots of unity?
+def spectrum_difference_is_trivial(p1: CharPoly, p2: CharPoly) -> SpectrumComparison:
+    """Do two spectral records share their spectrum away from 0 and the
+    roots of unity?
 
     Its use is to compare a substitution with its pure base: S_eta and
-    S_{z^d}, for the z^d that eta intertwines with, must pass.  Strips all
-    factors x and all cyclotomic factors Phi_d from both (exact integer
-    division, d up to 2*max(deg)^2 which covers every cyclotomic polynomial
-    that could divide), then cancels the common factor.  trivial is true
-    iff nothing is left on either side.
+    S_{z^d}, for the z^d that eta intertwines with, must pass.  Each
+    record's `factors` lose x and every cyclotomic factor, and the rest are
+    compared factor by factor with multiplicity; trivial is true iff every
+    factor is matched.  A monic irreducible F other than x is cyclotomic iff
+    x has finite order k modulo F: then F divides x^k - 1 and its roots
+    have order exactly k, so F = Phi_k.  As deg F = phi(k) >= sqrt(k/2),
+    k <= 2 deg(F)^2, and `_is_cyclotomic` tries no more powers of x.
     """
-    c1, c2 = _coeffs(p1), _coeffs(p2)
-    n = max(len(c1), len(c2)) - 1
-    bound = 2 * n * n + 1
-    s1 = _strip_trivial_roots(tuple(c1), bound)
-    s2 = _strip_trivial_roots(tuple(c2), bound)
-    g = poly_gcd(s1, s2)
-    left1, r1 = poly_divmod(s1, g)
-    left2, r2 = poly_divmod(s2, g)
-    if r1 or r2:
-        raise RuntimeError("gcd does not divide both stripped polynomials")
+    sides = [
+        Counter({fac: mult for fac, mult in p.factors if fac != (1, 0) and not _is_cyclotomic(fac)})
+        for p in (p1, p2)
+    ]
+    leftover = []
+    for mine, other in (sides, sides[::-1]):
+        left = (1,)
+        for fac, mult in (mine - other).items():
+            left = poly_mul(left, _power(fac, mult))
+        leftover.append(left)
     return SpectrumComparison(
-        trivial=(left1 == (1,) and left2 == (1,)),
-        leftover=(left1, left2),
+        trivial=leftover == [(1,), (1,)],
+        leftover=tuple(leftover),
     )

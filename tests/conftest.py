@@ -9,7 +9,7 @@ import pytest
 import sympy
 
 import substrum
-from substrum.eigen import eigenvalue_classes
+from substrum.eigen import char_poly
 from substrum.exactlin import char_poly_coeffs, factor_integer_poly, poly_mul
 
 
@@ -99,7 +99,7 @@ def _reference_j_pr_kappa(M, b):
     seen = {fac: [sum(a * v for a, v in zip(row, b)) for row in P] for fac, _mult, P in reference_projectors(M)}
     Mt = [[Fraction(v) for v in row] for row in M.transpose().entries]
     pos = 0
-    for cls in eigenvalue_classes(M):
+    for cls in char_poly(M).classes:
         hits = []
         for rec in cls:
             if any(seen[rec.factor]):

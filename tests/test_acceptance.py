@@ -104,9 +104,9 @@ def test_criterion_1_golden_verdicts(capsys):
         assert len(pb.phi) == 6
         blocks = {word for _, word in pb.phi}
         assert blocks == set(EXPECTED_ETA_BLOCKS)
-        phi = pb.phi_map()
+        phi = dict(pb.phi)
         for token, word in pb.phi:
-            image = pb.eta.image(pb.eta.alphabet.index(token))
+            image = pb.eta.images[pb.eta.alphabet.index(token)]
             image_blocks = tuple(phi[pb.eta.alphabet.token(i)] for i in image)
             assert image_blocks == EXPECTED_ETA_BLOCKS[word], word
         assert dekking_pure_discrete(pb.eta)
@@ -115,13 +115,13 @@ def test_criterion_1_golden_verdicts(capsys):
 def test_criterion_2_exact_eigenvalue_multisets(capsys):
     with criterion(capsys, 2, "eigenvalue multisets exact"):
         for name, expected in EXPECTED_MULTISETS.items():
-            records = eigenvalues(substitution_matrix(load(name)))
+            records = eigenvalues(char_poly(substitution_matrix(load(name))))
             assert_multiset(records, expected)
             for rec in records:
                 assert rec.modulus_hi - rec.modulus_lo < Fraction(1, 10**10), name
 
         eta = pure_base(load("height_two")).eta
-        records = eigenvalues(substitution_matrix(eta))
+        records = eigenvalues(char_poly(substitution_matrix(eta)))
         assert_multiset(records, [3, OMEGA, OMEGA.conjugate(), 0, 0, 0])
         for rec in records:
             assert rec.modulus_hi - rec.modulus_lo < Fraction(1, 10**10)

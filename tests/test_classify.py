@@ -74,7 +74,7 @@ def test_eigenvalue_groups():
 @pytest.mark.parametrize("name", APERIODIC)
 def test_bijective_never_purely_discrete(name):
     z = load(name)
-    if bijectivity_profile(z).bijective:
+    if bijectivity_profile(z):
         # a bijective aperiodic substitution has no coincidence, so the
         # Dekking branch must never fire for it
         assert classify(z).verdict != "PurelyDiscrete"
@@ -222,14 +222,14 @@ def test_height_two_evidence():
 
 def test_second_eigenvalue_reason_matches_theta():
     # SecondEigenvalueSmall is claimed exactly when |theta_2| < sqrt(q)
-    from substrum.eigen import eigenvalues, second_eigenvalue_below_sqrt_q
+    from substrum.eigen import char_poly, second_eigenvalue_below_sqrt_q
     from substrum.core import substitution_matrix, constant_length
 
     for name in APERIODIC:
         z = load(name)
         S = substitution_matrix(z)
         q = constant_length(z)
-        below = second_eigenvalue_below_sqrt_q(S, q)
+        below = second_eigenvalue_below_sqrt_q(char_poly(S), q)
         reasons = classify(z).reasons
         if "SecondEigenvalueSmall" in reasons:
             assert below
@@ -258,6 +258,18 @@ def test_classify_factors_the_char_poly_once(name, tmp_path, capsys, count_calls
         assert codes == [0]
         assert calls == {"char_poly_coeffs": once, "factor_integer_poly": once}, command
     capsys.readouterr()
+
+
+def test_classify_calls_the_public_eigenvalue_queries(count_calls):
+    # both decisions and the factorization are reached through their public
+    # names, which is what a per-function timing of classify records
+    eigen = importlib.import_module("substrum.eigen")
+    exactlin = importlib.import_module("substrum.exactlin")
+    counted = (eigen.has_modulus_sqrt_q, eigen.second_eigenvalue_below_sqrt_q, exactlin.factor_integer_poly)
+    verdicts = []
+    calls = count_calls(counted, lambda: verdicts.append(classify(load("bijective_nonabelian"))))
+    assert verdicts[0].verdict == "Singular"
+    assert calls == {"has_modulus_sqrt_q": 1, "second_eigenvalue_below_sqrt_q": 1, "factor_integer_poly": 1}
 
 
 @pytest.mark.parametrize("name", ["height_two", "periodic"])

@@ -230,15 +230,15 @@ def test_dekking_requires_height_one():
 
 
 def test_bijectivity_profile():
-    assert bijectivity_profile(load("thue_morse")).bijective
-    assert bijectivity_profile(load("bijective_nonabelian")).bijective
-    assert bijectivity_profile(load("modified_rudin_shapiro")).bijective
-    assert not bijectivity_profile(load("rudin_shapiro")).bijective
-    assert not bijectivity_profile(load("height_two")).bijective
+    assert bijectivity_profile(load("thue_morse")) is True
+    assert bijectivity_profile(load("bijective_nonabelian")) is True
+    assert bijectivity_profile(load("modified_rudin_shapiro")) is True
+    assert bijectivity_profile(load("rudin_shapiro")) is False
+    assert bijectivity_profile(load("height_two")) is False
 
 
 def test_bijective_implies_multiple_classes():
     for name in ("thue_morse", "bijective_nonabelian", "small_second_eigenvalue", "modified_rudin_shapiro"):
         z = load(name)
-        if bijectivity_profile(z).bijective:
+        if bijectivity_profile(z):
             assert ergodic_classes(z).k >= 2

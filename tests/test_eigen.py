@@ -63,14 +63,14 @@ def test_eigenvalue_multisets_exact():
         "modified_rudin_shapiro": [2, sqrt2, -sqrt2, 0],
     }
     for name, expected in cases.items():
-        assert_multiset(eigenvalues(S(name)), expected)
+        assert_multiset(eigenvalues(char_poly(S(name))), expected)
 
 
 def test_pure_base_eigenvalues():
     eta = pure_base(load("height_two")).eta
     omega = (1 + 1j * math.sqrt(3)) / 2
     assert_multiset(
-        eigenvalues(substitution_matrix(eta)),
+        eigenvalues(char_poly(substitution_matrix(eta))),
         [3, omega, omega.conjugate(), 0, 0, 0],
     )
 
@@ -84,14 +84,16 @@ def test_enclosure_width_below_1e10():
         "rudin_shapiro",
         "modified_rudin_shapiro",
     ):
-        for rec in eigenvalues(S(name)):
+        for rec in eigenvalues(char_poly(S(name))):
             assert rec.modulus_hi - rec.modulus_lo < ENCLOSURE, (name, rec)
 
 
 def test_rational_eigenvalues_are_exact():
-    for rec in eigenvalues(S("bijective_nonabelian")):
-        assert rec.rational_value is not None
-        assert rec.modulus_lo == rec.modulus_hi == abs(rec.rational_value)
+    # the eigenvalues 3, 2, 1, 1 are integers, with exact modulus and square
+    for rec in eigenvalues(char_poly(S("bijective_nonabelian"))):
+        assert rec.value.imag == 0 and rec.value.real.is_integer()
+        assert rec.modulus_lo == rec.modulus_hi == abs(Fraction(rec.value.real))
+        assert rec.modulus_sq_exact == rec.modulus_lo**2
 
 
 def test_sqrt_q_absent():
@@ -101,14 +103,14 @@ def test_sqrt_q_absent():
         ("height_two", 3),
         ("small_second_eigenvalue", 3),
     ]:
-        res = has_modulus_sqrt_q(S(name), q)
+        res = has_modulus_sqrt_q(char_poly(S(name)), q)
         assert res.present is False
         assert res.witnesses == ()
 
 
 def test_sqrt_q_present_real_pair():
     for name in ("rudin_shapiro", "modified_rudin_shapiro"):
-        res = has_modulus_sqrt_q(S(name), 2)
+        res = has_modulus_sqrt_q(char_poly(S(name)), 2)
         assert res.present is True
         assert spectrum_report(load(name), char_poly(S(name)), res)["sqrt_q"]["exact_witnesses"] is True
         got = sorted(w.real for w in res.witnesses)
@@ -119,24 +121,24 @@ def test_sqrt_q_present_real_pair():
 def test_sqrt_q_present_imaginary_pair():
     # x^2 + 2: eigenvalues +-i*sqrt(2), modulus exactly sqrt(2)
     M = IntMatrix(((0, -2), (1, 0)))
-    res = has_modulus_sqrt_q(M, 2)
+    res = has_modulus_sqrt_q(char_poly(M), 2)
     assert res.present is True
     got = sorted(w.imag for w in res.witnesses)
     assert got == pytest.approx([-math.sqrt(2), math.sqrt(2)], abs=1e-12)
 
 
 def test_second_eigenvalue_bound():
-    assert second_eigenvalue_below_sqrt_q(S("thue_morse"), 2) is True
-    assert second_eigenvalue_below_sqrt_q(S("small_second_eigenvalue"), 3) is True
+    assert second_eigenvalue_below_sqrt_q(char_poly(S("thue_morse")), 2) is True
+    assert second_eigenvalue_below_sqrt_q(char_poly(S("small_second_eigenvalue")), 3) is True
     # |theta_2| = 2 > sqrt(3)
-    assert second_eigenvalue_below_sqrt_q(S("bijective_nonabelian"), 3) is False
+    assert second_eigenvalue_below_sqrt_q(char_poly(S("bijective_nonabelian")), 3) is False
     # |theta_2| = sqrt(2) is not *strictly* below sqrt(q)
-    assert second_eigenvalue_below_sqrt_q(S("rudin_shapiro"), 2) is False
+    assert second_eigenvalue_below_sqrt_q(char_poly(S("rudin_shapiro")), 2) is False
     # eigenvalues 2 = sqrt(4) and 1: theta_2 = 1 is below sqrt(q), although
     # an eigenvalue of modulus sqrt(q) is present
-    assert has_modulus_sqrt_q(IntMatrix(((2, 0), (0, 1))), 4).present is True
-    assert second_eigenvalue_below_sqrt_q(IntMatrix(((2, 0), (0, 1))), 4) is True
-    assert second_eigenvalue_below_sqrt_q(IntMatrix(((2, 0), (0, 2))), 4) is False
+    assert has_modulus_sqrt_q(char_poly(IntMatrix(((2, 0), (0, 1)))), 4).present is True
+    assert second_eigenvalue_below_sqrt_q(char_poly(IntMatrix(((2, 0), (0, 1)))), 4) is True
+    assert second_eigenvalue_below_sqrt_q(char_poly(IntMatrix(((2, 0), (0, 2)))), 4) is False
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +179,14 @@ def reference_sqrt_q_facts(coeffs, q):
 
 
 def assert_matches_reference(coeffs, q):
-    M = companion(coeffs)
-    res = has_modulus_sqrt_q(M, q)
+    p = char_poly(companion(coeffs))
+    res = has_modulus_sqrt_q(p, q)
     on, below = reference_sqrt_q_facts(coeffs, q)
     assert res.present is bool(on)
     assert len(res.witnesses) == len(on)
     for w in res.witnesses:
         assert min(abs(w - r) for r in on) < 1e-9
-    assert second_eigenvalue_below_sqrt_q(M, q) is below
+    assert second_eigenvalue_below_sqrt_q(p, q) is below
     return res
 
 
@@ -237,7 +239,7 @@ def test_sqrt_q_decided_exactly_at_q_2(coeffs, witnesses):
 
 def test_second_eigenvalue_with_a_quartic_on_the_circle():
     t0 = time.perf_counter()
-    assert second_eigenvalue_below_sqrt_q(companion(poly_mul((1, -2), (1, 1, 3, 2, 4))), 2) is False
+    assert second_eigenvalue_below_sqrt_q(char_poly(companion(poly_mul((1, -2), (1, 1, 3, 2, 4)))), 2) is False
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -251,7 +253,6 @@ def record(lo, hi, value=None, exact=None):
         modulus_lo=lo,
         modulus_hi=hi,
         modulus_sq_exact=exact,
-        rational_value=None,
     )
 
 
@@ -296,7 +297,7 @@ def test_char_poly_computes_each_part_once(monkeypatch):
 
         monkeypatch.setattr(eigen_module, name, counting)
     p = char_poly(substitution_matrix(parse_substitution("0 -> 0 3\n1 -> 2 0\n2 -> 1 1\n3 -> 3 2\n")))
-    eigen_module._second_eigenvalue_below_sqrt_q(p, 2)
+    second_eigenvalue_below_sqrt_q(p, 2)
     classes = [p.classes, p.classes]
     assert calls.count("factor_integer_poly") == 1
     assert calls.count("_group_by_modulus") == 1

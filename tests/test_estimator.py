@@ -346,11 +346,18 @@ def test_dimension_fit_checks_f_before_counting(f, count_calls):
     assert calls == {"_lag_counts": 0}
 
 
-@pytest.mark.parametrize("scales", [(7,), (1, 2, 1100)])
+@pytest.mark.parametrize("scales", [(7,), (1, 2, 1100), (3, 3, 3, 3, 3)])
 def test_dimension_fit_checks_scales_before_counting(scales, count_calls):
-    # 2^7 lags are more than K = 64, and the radius 2^-1100 underflows to 0.0
+    # 2^7 lags are more than K = 64, the radius 2^-1100 underflows to 0.0,
+    # and five copies of one scale are a single radius, through which
+    # least squares would fit a slope anyway
+    if len(set(scales)) < len(scales):
+        message = r"scales must be distinct, got \[3, 3, 3, 3, 3\]"
+    else:
+        message = rf"scale n = {max(scales)} needs q\^n = 2\^{max(scales)} lags, more than K = 64"
+
     def fit():
-        with pytest.raises(ValueError, match=rf"scale n = {max(scales)} needs q\^n = 2\^{max(scales)} lags, more than K = 64"):
+        with pytest.raises(ValueError, match=message):
             dimension_fit(TM, (1, -1), scales=scales, K=64, L=10**4)
 
     assert count_calls((_lag_counts,), fit) == {"_lag_counts": 0}

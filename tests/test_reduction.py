@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,8 @@ from substrum.core import (
     substitution_matrix,
 )
 from substrum.corpus import load
-from substrum.eigen import char_poly
+from substrum.eigen import CharPoly, char_poly
+from substrum.exactlin import poly_mul
 from substrum.reduction import compute_height, pure_base, spectrum_difference_is_trivial
 
 EXPECTED_HEIGHTS = {
@@ -224,9 +226,66 @@ def test_spectrum_difference_trivial_cases():
     p = char_poly(substitution_matrix(load("rudin_shapiro")))
     assert spectrum_difference_is_trivial(p, p).trivial
     # x^2-2x vs x-2: differ by a root at 0 only
-    assert spectrum_difference_is_trivial((1, -2, 0), (1, -2)).trivial
+    assert spectrum_difference_is_trivial(CharPoly((1, -2, 0)), CharPoly((1, -2))).trivial
     # x-2 vs x-3: genuinely different
-    cmp = spectrum_difference_is_trivial((1, -2), (1, -3))
+    cmp = spectrum_difference_is_trivial(CharPoly((1, -2)), CharPoly((1, -3)))
     assert not cmp.trivial
     # cyclotomic factors are ignored: (x-2)(x-1)(x+1) vs (x-2)(x^2+x+1)
-    assert spectrum_difference_is_trivial((1, -2, -1, 2), (1, -1, -1, -2)).trivial
+    assert spectrum_difference_is_trivial(CharPoly((1, -2, -1, 2)), CharPoly((1, -1, -1, -2))).trivial
+
+
+X = sympy.Symbol("x")
+# Phi_k for every k with phi(k) <= 4
+CYCLOTOMIC = [tuple(int(c) for c in sympy.Poly(sympy.cyclotomic_poly(k, X)).all_coeffs()) for k in (1, 2, 3, 4, 5, 6, 8, 10, 12)]
+
+
+def reference_leftovers(c1, c2):
+    """Each side's part without x and cyclotomic factors (sympy's factor_list
+    and Poly.is_cyclotomic), divided by the gcd of the two parts."""
+    parts = []
+    for coeffs in (c1, c2):
+        part = sympy.Poly(1, X)
+        for fac, mult in sympy.Poly(list(coeffs), X).factor_list()[1]:
+            if fac.degree() > 0 and fac != sympy.Poly(X, X) and not fac.is_cyclotomic:
+                part *= fac**mult
+        parts.append(part)
+    g = sympy.gcd(*parts)
+    return tuple(tuple(int(c) for c in sympy.quo(part, g).all_coeffs()) for part in parts)
+
+
+@st.composite
+def factored_pairs(draw):
+    """Two monic products of x, Phi_k of degree <= 4, linear factors and
+    small monic (possibly reducible) factors, sharing some of them with
+    independent multiplicities."""
+    piece = st.one_of(
+        st.just((1, 0)),
+        st.sampled_from(CYCLOTOMIC),
+        st.integers(-3, 3).map(lambda c: (1, -c)),
+        st.lists(st.integers(-3, 3), min_size=2, max_size=3).map(lambda cs: (1, *cs)),
+    )
+    shared = draw(st.lists(st.tuples(piece, st.integers(0, 3), st.integers(0, 3)), max_size=3))
+    sides = []
+    for i in (1, 2):
+        out = (1,)
+        for fac, *mults in shared:
+            for _ in range(mults[i - 1]):
+                out = poly_mul(out, fac)
+        for fac in draw(st.lists(piece, max_size=2)):
+            out = poly_mul(out, fac)
+        sides.append(out)
+    return tuple(sides)
+
+
+@settings(max_examples=150, deadline=None)
+@given(factored_pairs())
+@example(((1, -4, 4), (1, -2)))  # (x - 2)^2 against x - 2: a multiplicity mismatch
+@example(((1, -4, 4, 0, 0), poly_mul((1, -4, 4), (1, 0, 1))))  # x^2 and Phi_4 around the same (x - 2)^2
+@example((poly_mul((1, 1, 1, 1, 1), (1, 0, -3)), (1, 0, -3)))  # Phi_5 of degree 4
+def test_spectrum_difference_matches_sympy(pair):
+    c1, c2 = pair
+    cmp = spectrum_difference_is_trivial(CharPoly(c1), CharPoly(c2))
+    leftover = reference_leftovers(c1, c2)
+    assert cmp.leftover == leftover
+    assert cmp.trivial is (leftover == ((1,), (1,)))
+

@@ -173,3 +173,23 @@ def test_every_private_name_is_used():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
     assert defined and [name for name in defined if name.split(":")[1] not in read] == []
+
+
+def test_eigen_queries_take_the_record():
+    # the spectral queries read one CharPoly that the caller keeps; only the
+    # record's constructor and j_pr_kappa, which also applies M^t to a
+    # vector, take the matrix
+    tree = ast.parse((Path(substrum.__file__).parent / "eigen.py").read_text(encoding="utf-8"))
+    exported = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    )
+    found = [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in exported and node.name not in ("char_poly", "j_pr_kappa")
+        for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        if arg.annotation is not None and "IntMatrix" in ast.unparse(arg.annotation)
+    ]
+    assert found == []
